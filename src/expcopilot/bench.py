@@ -11,12 +11,14 @@ import json
 import math
 import random
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Collection, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .core import (
+    CanonicalExperience,
     ExperienceRecord,
     Solution,
     SolutionSpace,
@@ -57,10 +59,39 @@ class Benchmark:
     task_kind: str = "classification dataset"
 
     def task(self, task_id: str) -> Task:
-        for t in self.tasks:
-            if t.task_id == task_id:
-                return t
-        raise BenchmarkError(f"unknown task '{task_id}'")
+        task = self._tasks_by_id.get(task_id)
+        if task is None:
+            raise BenchmarkError(f"unknown task '{task_id}'")
+        return task
+
+    @cached_property
+    def _tasks_by_id(self) -> dict[str, Task]:
+        return {t.task_id: t for t in self.tasks}
+
+    @cached_property
+    def ranked_rows(self) -> Mapping[str, tuple[Row, ...]]:
+        """Each task's rows, best metric first under the direction, stable on ties."""
+        sign = -1.0 if self.direction == "higher" else 1.0
+        return {
+            tid: tuple(sorted(rows, key=lambda row: sign * row.metric))
+            for tid, rows in self.rows.items()
+        }
+
+    @cached_property
+    def normalized_table(self) -> tuple[tuple[str, ...], dict[str, int], np.ndarray]:
+        """Sorted solution keys, each task's row index, and the tasks x keys matrix
+        of normalized metrics; NaN marks a solution missing from a task's table."""
+        keys = tuple(sorted({key for per_task in self.table.values() for key in per_task}))
+        column = {key: j for j, key in enumerate(keys)}
+        matrix = np.full((len(self.tasks), len(keys)), np.nan)
+        row_of = {}
+        for i, task in enumerate(self.tasks):
+            row_of[task.task_id] = i
+            for key, metric in self.table[task.task_id].items():
+                matrix[i, column[key]] = metric
+            matrix[i] = normalize_accuracy(matrix[i], task.task_id, self)
+        matrix.setflags(write=False)
+        return keys, row_of, matrix
 
 
 def load_benchmark(path: str | Path) -> Benchmark:
@@ -68,8 +99,10 @@ def load_benchmark(path: str | Path) -> Benchmark:
     root = Path(path)
     try:
         meta = json.loads((root / "meta.json").read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise BenchmarkError(f"cannot read benchmark meta: {exc}") from exc
+    if not isinstance(meta, dict) or "direction" not in meta:
+        raise BenchmarkError("meta.json must be a JSON object with a 'direction'")
     direction = check_direction(meta["direction"])
     space = load_space(root / "space.json")
     tasks = load_tasks(root / "tasks.jsonl")
@@ -101,11 +134,16 @@ def load_benchmark(path: str | Path) -> Benchmark:
 
     bounds: dict[str, tuple[float, float]] = {}
     declared = meta.get("norm_bounds", {})
+    if not isinstance(declared, dict):
+        raise BenchmarkError("meta.json 'norm_bounds' must map task ids to [lo, hi]")
     for t in tasks:
         if not rows[t.task_id]:
             raise BenchmarkError(f"task '{t.task_id}' has no table rows")
         if t.task_id in declared:
-            lo, hi = (float(declared[t.task_id][0]), float(declared[t.task_id][1]))
+            try:
+                lo, hi = (float(declared[t.task_id][0]), float(declared[t.task_id][1]))
+            except (IndexError, KeyError, TypeError, ValueError) as exc:
+                raise BenchmarkError(f"meta.json norm_bounds for '{t.task_id}': {exc}") from exc
         else:
             metrics = [r.metric for r in rows[t.task_id]]
             lo, hi = min(metrics), max(metrics)
@@ -116,7 +154,18 @@ def load_benchmark(path: str | Path) -> Benchmark:
     twins: dict[str, tuple[str, ...]] = {}
     twins_path = root / "twins.json"
     if twins_path.exists():
-        raw = json.loads(twins_path.read_text(encoding="utf-8"))
+        try:
+            raw = json.loads(twins_path.read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            raise BenchmarkError(f"cannot read twins.json: {exc}") from exc
+        if not isinstance(raw, dict) or not all(
+            isinstance(ids, list) and all(isinstance(i, str) for i in ids) for ids in raw.values()
+        ):
+            raise BenchmarkError("twins.json must map task ids to lists of task ids")
+        for tid, ids in raw.items():
+            unknown = [i for i in (tid, *ids) if i not in by_id]
+            if unknown:
+                raise BenchmarkError(f"twins.json names unknown task(s) {unknown}")
         twins = {tid: tuple(ids) for tid, ids in raw.items()}
 
     return Benchmark(
@@ -203,32 +252,26 @@ def baseline_constant(b: Benchmark, train_task_ids: Sequence[str], n: int) -> li
     train = list(train_task_ids)
     if not train:
         raise ValidationError("train task set is empty")
-    common = set(b.table[train[0]])
-    for tid in train[1:]:
-        common &= set(b.table[tid])
-    if not common:
+    keys, row_of, normalized = b.normalized_table
+    scores = normalized[[row_of[tid] for tid in train]]
+    shared = np.flatnonzero(~np.isnan(scores).any(axis=0))
+    if shared.size == 0:
         raise BenchmarkError("no solution is shared by every training task")
-    keys = sorted(common)
+    scores = scores[:, shared]
     by_key = {row.key: row.solution for row in b.rows[train[0]]}
-    scores = {
-        key: [normalize_accuracy(b.table[tid][key], tid, b) for tid in train] for key in keys
-    }
 
-    chosen: list[str] = []
-    covered = [-math.inf] * len(train)
-    for _ in range(min(n, len(keys))):
-        best_key = None
-        best_value = -math.inf
-        for key in keys:
-            if key in chosen:
-                continue
-            value = sum(max(c, s) for c, s in zip(covered, scores[key])) / len(train)
-            if value > best_value:
-                best_value = value
-                best_key = key
-        chosen.append(best_key)
-        covered = [max(c, s) for c, s in zip(covered, scores[best_key])]
-    return [by_key[key] for key in chosen]
+    chosen: list[int] = []
+    covered = np.full(len(train), -math.inf)
+    for _ in range(min(n, shared.size)):
+        candidates = np.maximum(covered[:, None], scores)
+        # Accumulate adds each column in task order, left to right, so near-ties
+        # resolve exactly as a per-key loop over the tasks would; np.sum would not.
+        values = np.add.accumulate(candidates, axis=0)[-1] / len(train)
+        values[chosen] = -math.inf
+        best = int(np.argmax(values))
+        chosen.append(best)
+        covered = candidates[:, best]
+    return [by_key[keys[shared[j]]] for j in chosen]
 
 
 def baseline_nearest_task(
@@ -251,23 +294,13 @@ def baseline_nearest_task(
     dist = np.linalg.norm(Z - q, axis=1)
     order = sorted(range(len(train_tasks)), key=lambda i: (dist[i], train_tasks[i].task_id))
 
-    sign = -1.0 if b.direction == "higher" else 1.0
     out: list[Solution] = []
     for i in order:
-        tid = train_tasks[i].task_id
-        ranked = sorted(enumerate(b.rows[tid]), key=lambda item: (sign * item[1].metric, item[0]))
-        for _, row in ranked:
+        for row in b.ranked_rows[train_tasks[i].task_id]:
             out.append(row.solution)
             if len(out) == n:
                 return out
     return out
-
-
-def _top_records(b: Benchmark, task_id: str, n: int) -> list[ExperienceRecord]:
-    task = b.task(task_id)
-    sign = -1.0 if b.direction == "higher" else 1.0
-    ranked = sorted(enumerate(b.rows[task_id]), key=lambda item: (sign * item[1].metric, item[0]))
-    return [ExperienceRecord(task, row.solution, row.metric) for _, row in ranked[:n]]
 
 
 def build_fold_artifacts(
@@ -280,15 +313,18 @@ def build_fold_artifacts(
     """Offline artifacts for one leave-one-out fold: pool entries and discretizers.
 
     Discretizers are fitted on the union of the best records per training task,
-    so nothing from the held-out task leaks into canonicalization.
+    so nothing from the held-out task leaks into canonicalization. Each
+    distinct solution among those records is canonicalized once.
     """
-    top = {tid: _top_records(b, tid, records_per_task) for tid in train_ids}
+    top = {tid: b.ranked_rows[tid][:records_per_task] for tid in train_ids}
     discretizers = {}
     for p in b.space.parameters:
         if p.kind != "numeric":
             continue
-        values = [r.solution.values[p.name] for recs in top.values() for r in recs]
+        values = [row.solution.values[p.name] for rows in top.values() for row in rows]
         discretizers[p.name] = fit_discretizer(values, p)
+    # Keyed by the exact values: solution keys round numbers to 12 digits.
+    canonical: dict[tuple, CanonicalExperience] = {}
     entries = []
     for tid in train_ids:
         task = b.task(tid)
@@ -298,7 +334,16 @@ def build_fold_artifacts(
             vec = backend.embed(task.description)
             if embed_cache is not None:
                 embed_cache[task.description] = vec
-        experiences = tuple(canonicalize(r, b.space, discretizers) for r in top[tid])
+        experiences = []
+        for row in top[tid]:
+            values = tuple(row.solution.values.values())
+            c = canonical.get(values)
+            if c is None:
+                record = ExperienceRecord(task, row.solution, row.metric)
+                c = canonical[values] = canonicalize(record, b.space, discretizers)
+            experiences.append(
+                CanonicalExperience(tid, c.space_id, c.solution_text, c.discrete_solution, row.metric)
+            )
         entries.append(PoolEntry(task=task, embedding=vec, experiences=experiences))
     return entries, discretizers
 
@@ -393,10 +438,10 @@ def _copilot_solutions(
             _assert_no_leakage(record.prompt, task, twins)
             if prompt_sink is not None:
                 prompt_sink.append((task.task_id, record.prompt))
-    fallback = baseline_constant(b, train_ids, cfg.suggestion.n_suggestions)
     result = suggest(
         task, pool, knowledge, b.space, discretizers, sug_cfg, backend,
-        fallback=fallback, exclude=held,
+        fallback=lambda: baseline_constant(b, train_ids, cfg.suggestion.n_suggestions),
+        exclude=held,
     )
     scanned = strip_query_section(result.prompt)
     _assert_no_leakage(scanned, task, twins)

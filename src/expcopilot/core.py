@@ -11,6 +11,7 @@ import hashlib
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -106,7 +107,7 @@ class SolutionSpace:
                 return p
         raise ValidationError(f"unknown parameter '{name}' for space '{self.space_id}'")
 
-    @property
+    @cached_property
     def parameter_names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.parameters)
 

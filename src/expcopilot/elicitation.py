@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 from .core import Discretizer, SolutionSpace, Task
-from .errors import ConfigError, ElicitationError, GatewayError, ValidationError
+from .errors import ConfigError, ElicitationError, ExpCopilotError, GatewayError, ValidationError
 from .gateway import CompletionRequest
 from .retrieval import KnowledgeItem, PoolEntry
 
@@ -122,8 +122,9 @@ def validate_candidate(
 ) -> float:
     """Score knowledge by mock-running the online stage on the validation tasks.
 
-    Returns the mean normalized metric@1; a failed suggestion scores 0 for its
-    task instead of aborting the loop.
+    Returns the mean normalized metric@1; a suggestion that fails with an
+    `ExpCopilotError` scores 0 for its task instead of aborting the loop. Any
+    other exception is a programming error and propagates.
     """
     from .bench import evaluate_solution, normalize_accuracy
     from .suggestion import suggest
@@ -148,7 +149,7 @@ def validate_candidate(
             )
             raw = evaluate_solution(benchmark, task.task_id, result.solutions[0])
             scores.append(normalize_accuracy(raw, task.task_id, benchmark))
-        except Exception:
+        except ExpCopilotError:
             scores.append(0.0)
     return sum(scores) / len(scores)
 

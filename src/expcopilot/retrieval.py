@@ -6,6 +6,7 @@ import hashlib
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 from typing import Collection, Mapping, Sequence
 
@@ -29,6 +30,16 @@ class EmbeddingVector:
         if len(self.values) == 0:
             raise ValidationError("embedding must be non-empty")
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        array = np.asarray(self.values)
+        array.setflags(write=False)
+        return array
+
+    @cached_property
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.array))
 
 
 @dataclass(frozen=True)
@@ -66,13 +77,9 @@ def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
         raise ValidationError(f"embedding model mismatch: {a.model_tag!r} vs {b.model_tag!r}")
     if len(a.values) != len(b.values):
         raise ValidationError(f"embedding length mismatch: {len(a.values)} vs {len(b.values)}")
-    va = np.asarray(a.values)
-    vb = np.asarray(b.values)
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na == 0.0 or nb == 0.0:
+    if a.norm == 0.0 or b.norm == 0.0:
         raise ValidationError("cannot compute cosine similarity with a zero vector")
-    return float(np.dot(va, vb) / (na * nb))
+    return float(np.dot(a.array, b.array) / (a.norm * b.norm))
 
 
 def retrieve_experience(

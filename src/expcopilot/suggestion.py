@@ -1,15 +1,16 @@
 """Online suggestion stage: retrieve, prompt under a token budget, parse, concretize.
 
 One completion call produces all suggestions; a single repair retry and a
-constant-baseline fallback keep the returned set full and inside the solution
-space even when the model response is malformed.
+constant-baseline fallback, computed only when a slot needs it, keep the
+returned set full and inside the solution space even when the model response
+is malformed.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Collection, Mapping, Sequence
+from typing import Callable, Collection, Mapping, Sequence
 
 from .core import Discretizer, Solution, SolutionSpace, Task
 from .errors import ParseError, ValidationError
@@ -93,30 +94,44 @@ def build_suggestion_prompt(
 ) -> str:
     """Assemble the online prompt, fitting demonstrations into the token budget.
 
-    Demonstrations are appended most-similar-first; the least similar tasks are
-    dropped when the char/4 token estimate would exceed the budget.
+    Demonstration blocks are rendered once and appended most-similar-first,
+    stopping at the first block that would push the ceil(chars / chars_per_token)
+    estimate over the budget. The result is the prompt with the most
+    demonstrations that fits: the prompt grows strictly with every block, and
+    the instruction without demonstrations is the shortest one.
     """
     if cfg.k_tasks != FILL_BUDGET:
         demos = list(demos)[: cfg.k_tasks]
 
-    def assemble(m: int) -> str:
-        parts = [space.description]
-        parts.extend(_demo_block(entry, cfg.demos_per_task) for entry in demos[:m])
+    def tail(have_demos: bool) -> str:
+        parts = []
         if knowledge:
             numbered = "\n".join(f"{i}. {k.text}" for i, k in enumerate(knowledge, start=1))
             parts.append("Guidelines:\n" + numbered)
-        parts.append(_instruction(cfg.n_suggestions, cfg.task_kind, m > 0, bool(knowledge)))
+        parts.append(_instruction(cfg.n_suggestions, cfg.task_kind, have_demos, bool(knowledge)))
         parts.append(f"Dataset: {task.description}")
         return "\n\n".join(parts)
 
-    for m in range(len(demos), -1, -1):
-        prompt = assemble(m)
-        if estimate_tokens(prompt, cfg.chars_per_token) <= cfg.token_budget:
-            return prompt
-    raise ValidationError(
-        f"budget exhausted: {cfg.token_budget} tokens cannot fit the prompt even "
-        "without demonstrations"
-    )
+    def fits(prompt: str) -> bool:
+        return estimate_tokens(prompt, cfg.chars_per_token) <= cfg.token_budget
+
+    prompt = None
+    head = space.description
+    demo_tail = tail(True)
+    for entry in demos:
+        head = f"{head}\n\n{_demo_block(entry, cfg.demos_per_task)}"
+        candidate = f"{head}\n\n{demo_tail}"
+        if not fits(candidate):
+            break
+        prompt = candidate
+    if prompt is None:
+        prompt = f"{space.description}\n\n{tail(False)}"
+        if not fits(prompt):
+            raise ValidationError(
+                f"budget exhausted: {cfg.token_budget} tokens cannot fit the prompt even "
+                "without demonstrations"
+            )
+    return prompt
 
 
 def parse_solutions(
@@ -217,14 +232,15 @@ def suggest(
     discretizers: Mapping[str, Discretizer],
     cfg: SuggestionConfig,
     backend,
-    fallback: Sequence[Solution] | None = None,
+    fallback: Callable[[], Sequence[Solution]] | None = None,
     exclude: Collection[str] = (),
 ) -> SuggestionSet:
     """Run the online stage for one task: retrieve, prompt once, parse, concretize.
 
     If the response yields fewer than n_suggestions valid configurations, one
-    repair retry at temperature 0.7 is attempted, after which remaining slots
-    are filled from the constant-baseline `fallback` solutions.
+    repair retry at temperature 0.7 is attempted. Slots still empty after it
+    are filled from the solutions returned by `fallback`, a zero-argument
+    callable (typically the constant baseline) that is called only then.
     """
     if task.space_id != space.space_id:
         raise ValidationError(
@@ -267,8 +283,8 @@ def suggest(
         items.extend(extra[: cfg.n_suggestions - len(items)])
 
     fallback_count = 0
-    if len(items) < cfg.n_suggestions:
-        for solution in fallback or []:
+    if len(items) < cfg.n_suggestions and fallback is not None:
+        for solution in fallback():
             if len(items) >= cfg.n_suggestions:
                 break
             items.append((_discretize_solution(solution, space, discretizers), solution))

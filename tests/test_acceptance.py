@@ -287,7 +287,7 @@ def test_criterion_7_parser_round_trip_and_fuzz(svm_space, svm_discretizers, gin
             result = suggest(
                 gina_task, [], [], svm_space, svm_discretizers,
                 SuggestionConfig(), Backend(response),
-                fallback=fallback if trial % 2 == 0 else None,
+                fallback=(lambda: fallback) if trial % 2 == 0 else None,
             )
         except ParseError:
             outcomes["parse_error"] += 1

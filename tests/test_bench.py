@@ -2,11 +2,16 @@
 
 import itertools
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import synth
 from expcopilot.bench import (
+    Benchmark,
+    Row,
     baseline_constant,
     baseline_nearest_task,
     baseline_random,
@@ -19,7 +24,7 @@ from expcopilot.bench import (
     write_report_csv,
     write_report_json,
 )
-from expcopilot.core import Solution, solution_key
+from expcopilot.core import ParameterDef, Solution, SolutionSpace, Task, solution_key
 from expcopilot.errors import BenchmarkError, ConfigError, ValidationError
 from expcopilot.gateway import ScriptedBackend
 
@@ -59,6 +64,11 @@ def mini_row(task_id, x, mode, metric):
     return {"task_id": task_id, "values": {"x": x, "mode": mode}, "metric": metric}
 
 
+def valid_bundle(tmp_path, twins=None):
+    rows = [mini_row("mini-1", 0.25, "fast", 0.4), mini_row("mini-1", 0.75, "fast", 0.6)]
+    return write_bundle(tmp_path / "b", MINI_SPACE, [mini_task(1)], rows, twins=twins)
+
+
 class TestLoadBenchmark:
     def test_loads_synthetic_bundle(self, synth_benchmark):
         b = synth_benchmark
@@ -93,6 +103,36 @@ class TestLoadBenchmark:
         ]
         root = write_bundle(tmp_path / "b", MINI_SPACE, [mini_task(1)], rows)
         with pytest.raises(BenchmarkError, match="degenerate"):
+            load_benchmark(root)
+
+    def test_malformed_meta_rejected(self, tmp_path):
+        root = valid_bundle(tmp_path)
+        (root / "meta.json").write_text('{"direction": "higher",')
+        with pytest.raises(BenchmarkError, match="meta"):
+            load_benchmark(root)
+
+    def test_missing_direction_rejected(self, tmp_path):
+        root = valid_bundle(tmp_path)
+        (root / "meta.json").write_text(json.dumps({"name": "mini"}))
+        with pytest.raises(BenchmarkError, match="direction"):
+            load_benchmark(root)
+
+    @pytest.mark.parametrize("bounds", [{"mini-1": [0.0]}, {"mini-1": "ab"}, [0.0, 1.0]])
+    def test_malformed_norm_bounds_rejected(self, tmp_path, bounds):
+        root = valid_bundle(tmp_path)
+        (root / "meta.json").write_text(json.dumps({"direction": "higher", "norm_bounds": bounds}))
+        with pytest.raises(BenchmarkError, match="norm_bounds"):
+            load_benchmark(root)
+
+    def test_malformed_twins_rejected(self, tmp_path):
+        root = valid_bundle(tmp_path)
+        (root / "twins.json").write_text('{"mini-1": ')
+        with pytest.raises(BenchmarkError, match="twins.json"):
+            load_benchmark(root)
+
+    def test_twins_naming_unknown_task_rejected(self, tmp_path):
+        root = valid_bundle(tmp_path, twins={"mini-1": ["mini-9"]})
+        with pytest.raises(BenchmarkError, match="mini-9"):
             load_benchmark(root)
 
     def test_declared_norm_bounds_override(self, tmp_path):
@@ -242,7 +282,106 @@ class TestBaselineRandom:
         assert len({solution_key(b.space, s) for s in drawn}) == 4
 
 
+def reference_baseline_constant(b, train, n):
+    """The per-key triple loop the normalized matrix replaced, kept as the reference."""
+    common = set(b.table[train[0]])
+    for tid in train[1:]:
+        common &= set(b.table[tid])
+    if not common:
+        raise BenchmarkError("no solution is shared by every training task")
+    keys = sorted(common)
+    by_key = {row.key: row.solution for row in b.rows[train[0]]}
+    scores = {key: [normalize_accuracy(b.table[tid][key], tid, b) for tid in train] for key in keys}
+    chosen = []
+    covered = [-math.inf] * len(train)
+    for _ in range(min(n, len(keys))):
+        best_key = None
+        best_value = -math.inf
+        for key in keys:
+            if key in chosen:
+                continue
+            value = sum(max(c, s) for c, s in zip(covered, scores[key])) / len(train)
+            if value > best_value:
+                best_value = value
+                best_key = key
+        chosen.append(best_key)
+        covered = [max(c, s) for c, s in zip(covered, scores[best_key])]
+    return [by_key[key] for key in chosen]
+
+
+GRID_SPACE = SolutionSpace(
+    "grid", "an eight-point grid.", (ParameterDef("x", "numeric", numeric_range=(0.0, 1.0)),)
+)
+
+
+def grid_benchmark(cells, bounds, direction):
+    """In-memory benchmark: cells[i] maps grid indices to task i's metrics."""
+    tasks = tuple(Task(f"g-{i}", "grid", f"grid task {i}") for i in range(len(cells)))
+    rows = {}
+    for task, per_task in zip(tasks, cells):
+        solutions = [(Solution(GRID_SPACE, {"x": j / 8}), m) for j, m in sorted(per_task.items())]
+        rows[task.task_id] = tuple(Row(solution_key(GRID_SPACE, s), s, m) for s, m in solutions)
+    return Benchmark(
+        name="grid",
+        space=GRID_SPACE,
+        tasks=tasks,
+        direction=direction,
+        rows=rows,
+        table={tid: {r.key: r.metric for r in rs} for tid, rs in rows.items()},
+        norm_bounds={t.task_id: bound for t, bound in zip(tasks, bounds)},
+        twins={},
+    )
+
+
+# Few distinct values, so exact ties and sums whose last bits depend on the
+# order of addition both occur often.
+_METRICS = st.sampled_from([0.1, 0.2, 0.3, 0.1 + 0.2, 1 / 3, 0.7, 2 / 3, 0.9])
+_BOUNDS = st.sampled_from([(0.0, 1.0), (0.05, 0.95), (0.1, 0.7), (-0.3, 1.3)])
+
+
 class TestBaselineConstant:
+    @given(
+        data=st.data(),
+        n_tasks=st.integers(1, 12),
+        n=st.integers(1, 9),
+        direction=st.sampled_from(["higher", "lower"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matrix_greedy_matches_loop_reference(self, data, n_tasks, n, direction):
+        # Cells in `columns` exist for every task; the others come and go. Some
+        # columns permute one base column, so their exact sums tie and only the
+        # order of addition separates their floating-point values.
+        base = [data.draw(_METRICS) for _ in range(n_tasks)]
+        any_column = st.lists(_METRICS, min_size=n_tasks, max_size=n_tasks)
+        columns = {
+            j: data.draw(st.one_of(st.permutations(base), any_column))
+            for j in sorted(data.draw(st.sets(st.integers(0, 7))))
+        }
+        cells = [
+            {
+                **data.draw(st.dictionaries(st.integers(0, 7), _METRICS, min_size=1)),
+                **{j: column[i] for j, column in columns.items()},
+            }
+            for i in range(n_tasks)
+        ]
+        if data.draw(st.booleans()):
+            bounds = [data.draw(_BOUNDS)] * n_tasks
+        else:
+            bounds = [data.draw(_BOUNDS) for _ in range(n_tasks)]
+        b = grid_benchmark(cells, bounds, direction)
+        order = data.draw(st.permutations([t.task_id for t in b.tasks]))
+        train = order[: data.draw(st.integers(1, n_tasks))]
+        try:
+            expected = reference_baseline_constant(b, train, n)
+        except BenchmarkError:
+            with pytest.raises(BenchmarkError):
+                baseline_constant(b, train, n)
+            return
+        picked = baseline_constant(b, train, n)
+        assert [solution_key(b.space, s) for s in picked] == [
+            solution_key(b.space, s) for s in expected
+        ]
+
     def test_first_pick_is_exhaustive_argmax(self, tmp_path):
         space = {
             "space_id": "c4",
@@ -366,6 +505,32 @@ class TestRunLooEval:
     def test_copilot_requires_backend(self, synth_benchmark):
         with pytest.raises(ConfigError):
             run_loo_eval(synth_benchmark, "copilot", seeds=[0])
+
+    @pytest.fixture
+    def disjoint_benchmark(self, tmp_path):
+        # Each task has its own three grid points, so no two tasks share a
+        # solution and the constant baseline fails on every fold.
+        tasks = [mini_task(i) for i in (1, 2, 3)]
+        rows = [
+            mini_row(f"mini-{i}", x, "fast", metric)
+            for i in (1, 2, 3)
+            for x, metric in zip((0.3 * i - 0.2, 0.3 * i - 0.1, 0.3 * i), (0.9, 0.6, 0.3))
+        ]
+        return load_benchmark(write_bundle(tmp_path / "disjoint", MINI_SPACE, tasks, rows))
+
+    def test_fallback_is_not_built_when_the_model_fills_every_slot(self, disjoint_benchmark):
+        with pytest.raises(BenchmarkError, match="shared"):
+            baseline_constant(disjoint_benchmark, ["mini-2", "mini-3"], 3)
+        report = run_loo_eval(disjoint_benchmark, "copilot", seeds=[0], backend=ScriptedBackend())
+        assert not any(row.failed for row in report.rows)
+
+    def test_fold_fails_when_a_slot_needs_the_missing_fallback(self, disjoint_benchmark):
+        class GarbageBackend(ScriptedBackend):
+            def complete(self, request):
+                return "no configurations here"
+
+        report = run_loo_eval(disjoint_benchmark, "copilot", seeds=[0], backend=GarbageBackend())
+        assert all(row.failed for row in report.rows)
 
     def test_nearest_failure_recorded_not_raised(self, tmp_path):
         # No meta-features anywhere: the nearest baseline fails on every task

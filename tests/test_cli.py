@@ -1,6 +1,7 @@
 """Command-line interface tests: ingest, elicit, suggest, eval."""
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,8 @@ import synth
 from expcopilot.cli import main
 from expcopilot.gateway import prompt_sha256
 from expcopilot.retrieval import hashed_bow_embedding
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -335,3 +338,62 @@ class TestEval:
             assert result.exit_code == 0, result.output
             outputs.append((out_csv.read_bytes(), out_json.read_bytes()))
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "name, extra",
+        [
+            ("eval_all_methods", ["--methods", "random,constant,nearest,copilot"]),
+            ("eval_copilot_knowledge", ["--methods", "copilot"]),
+        ],
+    )
+    def test_reports_match_golden(self, runner, synth_dir, tmp_path, name, extra):
+        # Goldens were written by the per-fold loop implementation before the
+        # leave-one-out sweep was made linear; the bytes must not move.
+        if name == "eval_copilot_knowledge":
+            config = tmp_path / "knowledge.json"
+            config.write_text(json.dumps({"eval": {"use_knowledge": True}}))
+            extra = ["--config", str(config), *extra]
+        out_csv = tmp_path / f"{name}.csv"
+        out_json = tmp_path / f"{name}.json"
+        result = runner.invoke(
+            main,
+            [
+                "eval",
+                "--benchmark", str(synth_dir),
+                "--seeds", "0,1",
+                "--out-csv", str(out_csv),
+                "--out-json", str(out_json),
+                *extra,
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        assert out_csv.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+        assert out_json.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "file_name, text",
+        [
+            ("meta.json", '{"direction": "higher",'),
+            ("meta.json", '{"name": "synth"}'),
+            ("twins.json", "[1, 2]"),
+            ("twins.json", '{"synth-01": ["no-such-task"]}'),
+        ],
+    )
+    def test_malformed_bundle_exits_2(self, runner, synth_dir, tmp_path, file_name, text):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(synth_dir, bundle)
+        (bundle / file_name).write_text(text)
+        result = runner.invoke(
+            main,
+            [
+                "eval",
+                "--benchmark", str(bundle),
+                "--methods", "random",
+                "--seeds", "0",
+                "--out-csv", str(tmp_path / "r.csv"),
+                "--out-json", str(tmp_path / "r.json"),
+            ],
+        )
+        assert result.exit_code == 2, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "error:" in result.output

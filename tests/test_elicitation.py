@@ -241,6 +241,37 @@ class TestValidateCandidate:
             expected.append(normalize_accuracy(raw, task.task_id, b))
         assert score == sum(expected) / len(expected)
 
+    def test_programming_error_in_backend_propagates(self, synth_benchmark):
+        # Only package errors score 0; anything else is a bug and must surface.
+        class BrokenBackend(ScriptedBackend):
+            def complete(self, request):
+                raise RuntimeError("bug in the backend")
+
+        b = synth_benchmark
+        backend = BrokenBackend()
+        entries, discretizers = build_fold_artifacts(b, [t.task_id for t in b.tasks], backend)
+        candidate = KnowledgeItem(space_id=b.space.space_id, text="x", validation_score=0.0)
+        with pytest.raises(RuntimeError, match="bug in the backend"):
+            validate_candidate(
+                candidate, [entries[-1].task], entries[:-1], b.space, discretizers,
+                b, SuggestionConfig(), backend,
+            )
+
+    def test_package_error_in_backend_scores_zero(self, synth_benchmark):
+        class FailingBackend(ScriptedBackend):
+            def complete(self, request):
+                raise GatewayError("backend unavailable")
+
+        b = synth_benchmark
+        backend = FailingBackend()
+        entries, discretizers = build_fold_artifacts(b, [t.task_id for t in b.tasks], backend)
+        candidate = KnowledgeItem(space_id=b.space.space_id, text="x", validation_score=0.0)
+        score = validate_candidate(
+            candidate, [entries[-1].task], entries[:-1], b.space, discretizers,
+            b, SuggestionConfig(), backend,
+        )
+        assert score == 0.0
+
     def test_empty_validation_set_rejected(self, synth_benchmark):
         b = synth_benchmark
         backend = ScriptedBackend()

@@ -1,16 +1,31 @@
 """Online-stage tests: prompt golden, budget, parsing, concretization, suggest()."""
 
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from expcopilot import suggestion as suggestion_module
 from expcopilot.bench import build_fold_artifacts
-from expcopilot.core import DEFAULT_LEVELS, Solution, verbalize_solution
+from expcopilot.core import (
+    DEFAULT_LEVELS,
+    CanonicalExperience,
+    Solution,
+    SolutionSpace,
+    Task,
+    verbalize_solution,
+)
 from expcopilot.errors import ParseError, ValidationError
 from expcopilot.gateway import ScriptedBackend, estimate_tokens
+from expcopilot.retrieval import EmbeddingVector, KnowledgeItem, PoolEntry
 from expcopilot.suggestion import (
+    FILL_BUDGET,
     SuggestionConfig,
+    _demo_block,
+    _instruction,
     build_suggestion_prompt,
     concretize,
     parse_solutions,
@@ -22,6 +37,39 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def prompt_sections(prompt):
     return prompt.split("\n\n")
+
+
+def reference_prompt(space, task, demos, knowledge, cfg):
+    """The quadratic builder the single pass replaced: re-join every prefix, longest first."""
+    if cfg.k_tasks != FILL_BUDGET:
+        demos = list(demos)[: cfg.k_tasks]
+
+    def assemble(m):
+        parts = [space.description]
+        parts.extend(_demo_block(entry, cfg.demos_per_task) for entry in demos[:m])
+        if knowledge:
+            numbered = "\n".join(f"{i}. {k.text}" for i, k in enumerate(knowledge, start=1))
+            parts.append("Guidelines:\n" + numbered)
+        parts.append(_instruction(cfg.n_suggestions, cfg.task_kind, m > 0, bool(knowledge)))
+        parts.append(f"Dataset: {task.description}")
+        return "\n\n".join(parts)
+
+    for m in range(len(demos), -1, -1):
+        prompt = assemble(m)
+        if estimate_tokens(prompt, cfg.chars_per_token) <= cfg.token_budget:
+            return prompt
+    raise ValidationError("budget exhausted")
+
+
+def text_entry(i, description, solution_texts):
+    task = Task(task_id=f"demo-{i}", space_id="s", description=description)
+    experiences = [
+        CanonicalExperience(task.task_id, "s", text, {}, 0.0) for text in solution_texts
+    ]
+    return PoolEntry(task, EmbeddingVector((1.0,), "unit"), experiences)
+
+
+_words = st.text(alphabet="abc xyz.", min_size=1, max_size=300)
 
 
 class TestBuildSuggestionPrompt:
@@ -100,6 +148,65 @@ class TestBuildSuggestionPrompt:
         assert sections[4].startswith("Guidelines:\n1.")
         assert sections[5].startswith("Based on the examples and guidelines above")
         assert sections[6] == f"Dataset: {gina_task.description}"
+
+    @given(
+        space_text=st.text(alphabet="abc xyz.", min_size=1, max_size=2500),
+        query=_words,
+        demos=st.lists(st.tuples(_words, st.lists(_words, min_size=1, max_size=4)), max_size=12),
+        knowledge=st.lists(_words, max_size=3),
+        budget=st.integers(256, 1200),
+        edge=st.one_of(st.none(), st.tuples(st.integers(0, 12), st.integers(-1, 1))),
+        chars_per_token=st.integers(1, 8),
+        demos_per_task=st.integers(1, 4),
+        k_tasks=st.one_of(st.just(FILL_BUDGET), st.integers(1, 12)),
+        n_suggestions=st.integers(1, 5),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_single_pass_matches_prefix_loop(
+        self, space_text, query, demos, knowledge, budget, edge, chars_per_token,
+        demos_per_task, k_tasks, n_suggestions,
+    ):
+        if edge is not None:
+            # Pad the description so every prompt is over the minimum budget.
+            space_text = "p" * 256 * chars_per_token + space_text
+        space = SolutionSpace("s", space_text, ())
+        task = Task(task_id="query", space_id="s", description=query)
+        entries = [text_entry(i, d, texts) for i, (d, texts) in enumerate(demos)]
+        items = [KnowledgeItem("s", text, 0.0) for text in knowledge]
+        cfg = SuggestionConfig(
+            n_suggestions=n_suggestions, k_tasks=k_tasks, demos_per_task=demos_per_task,
+            token_budget=10**9, chars_per_token=chars_per_token,
+        )
+        if edge is not None:
+            # Put the budget at, or one token beside, the size of the prompt with m demos.
+            m, slack = edge
+            sized = reference_prompt(space, task, entries[:m], items, cfg)
+            budget = estimate_tokens(sized, chars_per_token) + slack
+        cfg = replace(cfg, token_budget=budget)
+        try:
+            expected = reference_prompt(space, task, entries, items, cfg)
+        except ValidationError:
+            with pytest.raises(ValidationError, match="budget exhausted"):
+                build_suggestion_prompt(space, task, entries, items, cfg)
+            return
+        assert build_suggestion_prompt(space, task, entries, items, cfg) == expected
+
+    def test_budget_checks_are_linear_in_kept_demos(self, svm_space, gina_task, monkeypatch):
+        checks = []
+
+        def counting_estimate(text, chars_per_token=4):
+            checks.append(len(text))
+            return estimate_tokens(text, chars_per_token)
+
+        monkeypatch.setattr(suggestion_module, "estimate_tokens", counting_estimate)
+        entries = [
+            text_entry(i, f"dataset {i} " * 5, ["cost is low. gamma is high. kernel is radial."] * 3)
+            for i in range(150)
+        ]
+        prompt = build_suggestion_prompt(svm_space, gina_task, entries, [], SuggestionConfig())
+        kept = prompt.count("\n\nDataset: ") - 1
+        assert 0 < kept < len(entries)
+        assert len(checks) == kept + 1
 
     def test_n_suggestions_substituted(self, svm_space, online_demo_entries, gina_task):
         prompt = build_suggestion_prompt(
@@ -270,11 +377,26 @@ class TestSuggest:
         ]
         result = suggest(
             gina_task, [], [], svm_space, svm_discretizers, SuggestionConfig(), backend,
-            fallback=fallback,
+            fallback=lambda: fallback,
         )
         assert backend.completion_calls == 2  # primary plus one repair retry
         assert result.fallback_count == 3
         assert result.solutions == fallback
+
+    def test_fallback_not_called_when_every_slot_is_filled(self, svm_space, svm_discretizers, gina_task):
+        good = "\n".join(
+            f"Configuration {i}: cost is medium. gamma is medium. kernel is radial."
+            for i in range(1, 4)
+        )
+
+        def fallback():
+            raise AssertionError("the fallback must only run for empty slots")
+
+        result = suggest(
+            gina_task, [], [], svm_space, svm_discretizers, SuggestionConfig(),
+            CannedBackend(good), fallback=fallback,
+        )
+        assert result.fallback_count == 0 and len(result.solutions) == 3
 
     def test_garbage_response_without_fallback_raises(self, svm_space, svm_discretizers, gina_task):
         backend = CannedBackend("still not a configuration")
@@ -306,7 +428,7 @@ class TestSuggest:
         ]
         result = suggest(
             gina_task, [], [], svm_space, svm_discretizers, SuggestionConfig(), backend,
-            fallback=fallback,
+            fallback=lambda: fallback,
         )
         assert len(result.solutions) == 3
         assert result.items[0][0] == {"cost": "high", "gamma": "low", "kernel": "radial"}
@@ -340,7 +462,7 @@ class TestSuggest:
             try:
                 result = suggest(
                     gina_task, [], [], svm_space, svm_discretizers,
-                    SuggestionConfig(), backend, fallback=fallback,
+                    SuggestionConfig(), backend, fallback=lambda: fallback,
                 )
             except ParseError:
                 continue
