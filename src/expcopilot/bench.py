@@ -18,7 +18,6 @@ from typing import Collection, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .core import (
-    CanonicalExperience,
     ExperienceRecord,
     Solution,
     SolutionSpace,
@@ -31,7 +30,7 @@ from .core import (
 )
 from .elicitation import ElicitationConfig, elicit_knowledge
 from .errors import BenchmarkError, ConfigError, ExpCopilotError, ValidationError
-from .retrieval import EmbeddingVector, PoolEntry
+from .retrieval import PoolEntry
 from .storage import load_space, load_tasks, read_jsonl
 from .suggestion import SuggestionConfig, suggest
 
@@ -166,6 +165,12 @@ def load_benchmark(path: str | Path) -> Benchmark:
             unknown = [i for i in (tid, *ids) if i not in by_id]
             if unknown:
                 raise BenchmarkError(f"twins.json names unknown task(s) {unknown}")
+            for twin in ids:
+                if tid not in raw.get(twin, ()):
+                    raise BenchmarkError(
+                        f"twins.json lists '{twin}' as a twin of '{tid}' but not "
+                        f"'{tid}' as a twin of '{twin}'"
+                    )
         twins = {tid: tuple(ids) for tid, ids in raw.items()}
 
     return Benchmark(
@@ -303,48 +308,62 @@ def baseline_nearest_task(
     return out
 
 
+def _levels_changed(
+    entry: PoolEntry, rows: Sequence[Row], levels: Mapping[str, Mapping[float, str]]
+) -> bool:
+    """Whether any numeric value of `rows` has a level other than the one in `entry`."""
+    for exp, row in zip(entry.experiences, rows):
+        discrete, values = exp.discrete_solution, row.solution.values
+        for name, level in levels.items():
+            if discrete[name] != level[values[name]]:
+                return True
+    return False
+
+
 def build_fold_artifacts(
     b: Benchmark,
     train_ids: Sequence[str],
     backend,
     records_per_task: int = 3,
-    embed_cache: dict[str, EmbeddingVector] | None = None,
+    pool_cache: dict[str, PoolEntry] | None = None,
 ):
     """Offline artifacts for one leave-one-out fold: pool entries and discretizers.
 
-    Discretizers are fitted on the union of the best records per training task,
-    so nothing from the held-out task leaks into canonicalization. Each
-    distinct solution among those records is canonicalized once.
+    Discretizers are refitted on every call, on the union of the best records
+    per training task only, so nothing from a held-out task leaks into
+    canonicalization. `pool_cache` (task id -> PoolEntry) carries entries
+    across the folds of one sweep over `b`: a cached entry is reused when each
+    of its records' numeric values still falls in the same level under this
+    fold's discretizers, since a record's canonical form depends on the
+    discretizers only through those levels. Otherwise the task's records are
+    canonicalized again and the entry replaced, keeping its embedding, so
+    each task is embedded once per cache.
     """
     top = {tid: b.ranked_rows[tid][:records_per_task] for tid in train_ids}
     discretizers = {}
+    levels: dict[str, dict[float, str]] = {}
     for p in b.space.parameters:
         if p.kind != "numeric":
             continue
         values = [row.solution.values[p.name] for rows in top.values() for row in rows]
-        discretizers[p.name] = fit_discretizer(values, p)
-    # Keyed by the exact values: solution keys round numbers to 12 digits.
-    canonical: dict[tuple, CanonicalExperience] = {}
+        d = discretizers[p.name] = fit_discretizer(values, p)
+        levels[p.name] = {x: d.discretize(x) for x in set(values)}
+    cache = {} if pool_cache is None else pool_cache
     entries = []
     for tid in train_ids:
-        task = b.task(tid)
-        if embed_cache is not None and task.description in embed_cache:
-            vec = embed_cache[task.description]
-        else:
-            vec = backend.embed(task.description)
-            if embed_cache is not None:
-                embed_cache[task.description] = vec
-        experiences = []
-        for row in top[tid]:
-            values = tuple(row.solution.values.values())
-            c = canonical.get(values)
-            if c is None:
-                record = ExperienceRecord(task, row.solution, row.metric)
-                c = canonical[values] = canonicalize(record, b.space, discretizers)
-            experiences.append(
-                CanonicalExperience(tid, c.space_id, c.solution_text, c.discrete_solution, row.metric)
+        rows = top[tid]
+        entry = cache.get(tid)
+        if entry is None or _levels_changed(entry, rows, levels):
+            task = b.task(tid)
+            entry = cache[tid] = PoolEntry(
+                task=task,
+                embedding=backend.embed(task.description) if entry is None else entry.embedding,
+                experiences=[
+                    canonicalize(ExperienceRecord(task, row.solution, row.metric), b.space, discretizers)
+                    for row in rows
+                ],
             )
-        entries.append(PoolEntry(task=task, embedding=vec, experiences=experiences))
+        entries.append(entry)
     return entries, discretizers
 
 
@@ -418,11 +437,11 @@ def _copilot_solutions(
     seed: int,
     cfg: EvalConfig,
     backend,
-    embed_cache: dict,
+    pool_cache: dict[str, PoolEntry],
     prompt_sink: list | None,
 ) -> list[Solution]:
     pool, discretizers = build_fold_artifacts(
-        b, train_ids, backend, cfg.records_per_task, embed_cache
+        b, train_ids, backend, cfg.records_per_task, pool_cache
     )
     twins = [b.task(tid) for tid in b.twins.get(task.task_id, ())]
     sug_cfg = replace(cfg.suggestion, task_kind=b.task_kind)
@@ -460,9 +479,12 @@ def run_loo_eval(
 ) -> EvalReport:
     """Leave-one-out sweep: hold each task out, suggest for it, score metric@{1,2,3}.
 
-    Offline artifacts are rebuilt per fold from the remaining tasks only; twins
-    of the held-out task are excluded as well. A method failure on a task is
-    recorded as the worst score and flagged instead of aborting the sweep.
+    Offline artifacts come from the remaining tasks only; twins of the
+    held-out task are excluded as well. Discretizers are refitted every fold,
+    while each task's pool entry is built once per sweep and rebuilt only in
+    folds where its records' levels change (see `build_fold_artifacts`). A
+    method failure on a task is recorded as the worst score and flagged
+    instead of aborting the sweep.
     """
     cfg = cfg or EvalConfig()
     if method not in METHODS:
@@ -476,7 +498,7 @@ def run_loo_eval(
         raise ConfigError("evaluation scores metric@{1,2,3}; configure n_suggestions >= 3")
 
     rows: list[EvalRow] = []
-    embed_cache: dict[str, EmbeddingVector] = {}
+    pool_cache: dict[str, PoolEntry] = {}
     for seed in seeds:
         for task in b.tasks:
             held = {task.task_id} | set(b.twins.get(task.task_id, ()))
@@ -495,7 +517,7 @@ def run_loo_eval(
                     solutions = baseline_nearest_task(b, train_tasks, task, n)
                 else:
                     solutions = _copilot_solutions(
-                        b, task, train_ids, held, seed, cfg, backend, embed_cache, prompt_sink
+                        b, task, train_ids, held, seed, cfg, backend, pool_cache, prompt_sink
                     )
                 metrics = [evaluate_solution(b, task.task_id, s) for s in solutions]
                 mts = tuple(metric_at_t(metrics, t, b.direction) for t in (1, 2, 3))

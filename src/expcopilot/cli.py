@@ -178,8 +178,10 @@ def cmd_suggest(
 ) -> list[dict]:
     """Suggest configurations for the task described in task_file; returns JSON rows."""
     space, tasks, pool, discretizers, embeddings = _load_pool_dir(pool_dir, space_path)
-    with open(task_file, encoding="utf-8") as fh:
-        task = storage.task_from_dict(json.load(fh))
+    try:
+        task = storage.task_from_dict(storage.read_json(task_file))
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{task_file}: malformed task ({exc!r})") from exc
     backend = backend_from_config(cfg.backend)
     # The cache is only valid for the backend's embedding model.
     expected_tag = _embed_tag(backend)

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from bisect import bisect_right
+import statistics
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -311,12 +312,14 @@ def fit_discretizer(values: Iterable[float], param: ParameterDef, n_levels: int 
 
     edges_lo = [lo] + splits
     edges_hi = splits + [hi]
-    idx = np.searchsorted(np.asarray(splits), vals, side="right")
+    # Bin i holds the values in [edges_lo[i], edges_hi[i]): a slice of the sorted values.
+    ordered = np.sort(vals).tolist()
+    cuts = [0, *(bisect_left(ordered, s) for s in splits), len(ordered)]
     reps: dict[str, float] = {}
     for i, label in enumerate(bin_labels):
-        members = vals[idx == i]
-        if members.size:
-            reps[label] = float(np.median(members))
+        members = ordered[cuts[i]:cuts[i + 1]]
+        if members:
+            reps[label] = statistics.median(members)
         elif param.log_scale:
             reps[label] = float(10 ** ((math.log10(edges_lo[i]) + math.log10(edges_hi[i])) / 2))
         else:

@@ -15,6 +15,7 @@ import os
 import re
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -138,14 +139,19 @@ class ScriptedBackend:
 
 
 class ReplayBackend:
-    """Backend replaying recorded responses from a cassette file."""
+    """Backend replaying recorded responses from a cassette file.
+
+    Requests are matched on (kind, prompt sha256). Responses recorded for the
+    same key replay in recorded order, so a prompt sent twice (e.g. the repair
+    retry at another temperature) gets each of its answers back in turn; once
+    a key's responses run out, its last one repeats.
+    """
 
     def __init__(self, cassette_path: str | Path):
         path = Path(cassette_path)
         if not path.exists():
             raise ConfigError(f"replay cassette not found: {path}")
-        self._responses: dict[tuple[str, str], object] = {}
-        self._tags: dict[str, str] = {}
+        self._responses: dict[tuple[str, str], deque] = {}
         with path.open(encoding="utf-8") as fh:
             for line in fh:
                 line = line.strip()
@@ -153,23 +159,24 @@ class ReplayBackend:
                     continue
                 entry = json.loads(line)
                 kind = entry["request"].get("kind", "complete")
-                self._responses[(kind, entry["prompt_sha256"])] = entry["response"]
+                response = entry["response"]
                 if kind == "embed":
-                    self._tags[entry["prompt_sha256"]] = entry["request"].get("model", "replay")
+                    response = (response, entry["request"].get("model", "replay"))
+                self._responses.setdefault((kind, entry["prompt_sha256"]), deque()).append(response)
+
+    def _next(self, kind: str, sha: str):
+        queue = self._responses.get((kind, sha))
+        if not queue:
+            noun = "embedding" if kind == "embed" else "completion"
+            raise GatewayError(f"replay miss: no recorded {noun} for prompt sha256={sha}")
+        return queue.popleft() if len(queue) > 1 else queue[0]
 
     def complete(self, req: CompletionRequest) -> str:
-        key = ("complete", prompt_sha256(req.prompt))
-        if key not in self._responses:
-            raise GatewayError(f"replay miss: no recorded completion for prompt sha256={key[1]}")
-        return str(self._responses[key])
+        return str(self._next("complete", prompt_sha256(req.prompt)))
 
     def embed(self, text: str) -> EmbeddingVector:
-        sha = prompt_sha256(text)
-        key = ("embed", sha)
-        if key not in self._responses:
-            raise GatewayError(f"replay miss: no recorded embedding for prompt sha256={sha}")
-        values = self._responses[key]
-        return EmbeddingVector(values=tuple(values), model_tag=self._tags.get(sha, "replay"))
+        values, tag = self._next("embed", prompt_sha256(text))
+        return EmbeddingVector(values=tuple(values), model_tag=tag)
 
 
 class HttpBackend:

@@ -35,9 +35,25 @@ def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
             fh.write(dumps(record) + "\n")
 
 
+def _open(path: str | Path):
+    try:
+        return Path(path).open(encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+
+
+def read_json(path: str | Path):
+    """Parse one JSON file; a missing, unreadable or malformed file raises ValidationError."""
+    with _open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
+
+
 def read_jsonl(path: str | Path) -> list[dict]:
     out = []
-    with Path(path).open(encoding="utf-8") as fh:
+    with _open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -90,8 +106,10 @@ def space_to_dict(space: SolutionSpace) -> dict:
 
 
 def load_space(path: str | Path) -> SolutionSpace:
-    with Path(path).open(encoding="utf-8") as fh:
-        return space_from_dict(json.load(fh))
+    try:
+        return space_from_dict(read_json(path))
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValidationError(f"{path}: malformed space ({exc!r})") from exc
 
 
 def save_space(space: SolutionSpace, path: str | Path) -> None:
@@ -177,9 +195,10 @@ def save_discretizers(discretizers: Mapping[str, Discretizer], path: str | Path)
 
 
 def load_discretizers(path: str | Path) -> dict[str, Discretizer]:
-    with Path(path).open(encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return {name: discretizer_from_dict(d) for name, d in payload.items()}
+    try:
+        return {name: discretizer_from_dict(d) for name, d in read_json(path).items()}
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValidationError(f"{path}: malformed discretizers ({exc!r})") from exc
 
 
 def experience_to_dict(exp: CanonicalExperience) -> dict:

@@ -192,5 +192,11 @@ def synth_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
+def continuous_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("continuous") / "bench"
+    return synth.write_continuous_benchmark(root)
+
+
+@pytest.fixture(scope="session")
 def synth_benchmark(synth_dir):
     return load_benchmark(synth_dir)

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from expcopilot.bench import (
     baseline_constant,
     baseline_nearest_task,
     baseline_random,
+    build_fold_artifacts,
     evaluate_solution,
     load_benchmark,
     metric_at_t,
@@ -24,9 +26,19 @@ from expcopilot.bench import (
     write_report_csv,
     write_report_json,
 )
-from expcopilot.core import ParameterDef, Solution, SolutionSpace, Task, solution_key
+from expcopilot.core import (
+    ExperienceRecord,
+    ParameterDef,
+    Solution,
+    SolutionSpace,
+    Task,
+    canonicalize,
+    fit_discretizer,
+    solution_key,
+)
 from expcopilot.errors import BenchmarkError, ConfigError, ValidationError
 from expcopilot.gateway import ScriptedBackend
+from expcopilot.retrieval import PoolEntry
 
 
 def write_bundle(root, space, tasks, rows, direction="higher", twins=None):
@@ -133,6 +145,15 @@ class TestLoadBenchmark:
     def test_twins_naming_unknown_task_rejected(self, tmp_path):
         root = valid_bundle(tmp_path, twins={"mini-1": ["mini-9"]})
         with pytest.raises(BenchmarkError, match="mini-9"):
+            load_benchmark(root)
+
+    def test_asymmetric_twins_rejected(self, tmp_path):
+        rows = [mini_row(f"mini-{i}", x, "fast", x) for i in (1, 2) for x in (0.25, 0.75)]
+        root = write_bundle(
+            tmp_path / "b", MINI_SPACE, [mini_task(1), mini_task(2)], rows,
+            twins={"mini-1": ["mini-2"]},
+        )
+        with pytest.raises(BenchmarkError, match="not 'mini-1' as a twin of 'mini-2'"):
             load_benchmark(root)
 
     def test_declared_norm_bounds_override(self, tmp_path):
@@ -484,6 +505,100 @@ class TestBaselineNearestTask:
         b = mini_benchmark
         with pytest.raises(ValidationError, match="meta-features"):
             baseline_nearest_task(b, [b.task("mini-1")], b.task("mini-2"), 1)
+
+
+def reference_fold_artifacts(b, train_ids, backend, records_per_task):
+    """The per-fold rebuild the pool cache replaced, kept as the reference:
+    refit the discretizers, then canonicalize and embed every training task."""
+    top = {tid: b.ranked_rows[tid][:records_per_task] for tid in train_ids}
+    discretizers = {
+        p.name: fit_discretizer([row.solution.values[p.name] for rows in top.values() for row in rows], p)
+        for p in b.space.parameters
+        if p.kind == "numeric"
+    }
+    entries = []
+    for tid in train_ids:
+        task = b.task(tid)
+        experiences = [
+            canonicalize(ExperienceRecord(task, row.solution, row.metric), b.space, discretizers)
+            for row in top[tid]
+        ]
+        entries.append(PoolEntry(task, backend.embed(task.description), experiences))
+    return entries, discretizers
+
+
+CONTINUOUS_SPACE = SolutionSpace(
+    "cont",
+    "a space with two continuous parameters.",
+    (
+        ParameterDef("depth", "numeric", numeric_range=(1.0, 9.0)),
+        ParameterDef("rate", "numeric", numeric_range=(1e-4, 1.0), log_scale=True),
+        ParameterDef("booster", "categorical", choices=("tree", "dart")),
+    ),
+)
+
+_CONTINUOUS_ROW = st.tuples(
+    st.floats(1.0, 9.0), st.floats(1e-4, 1.0), st.sampled_from(("tree", "dart")), st.floats(0.0, 1.0)
+)
+
+
+def continuous_benchmark(task_rows):
+    """In-memory benchmark whose tasks have their own continuous numeric values."""
+    tasks = tuple(Task(f"c-{i}", "cont", f"continuous task {i}") for i in range(len(task_rows)))
+    rows = {}
+    for task, drawn in zip(tasks, task_rows):
+        solutions = [
+            (Solution(CONTINUOUS_SPACE, {"depth": d, "rate": r, "booster": bo}), m)
+            for d, r, bo, m in drawn
+        ]
+        rows[task.task_id] = tuple(Row(solution_key(CONTINUOUS_SPACE, s), s, m) for s, m in solutions)
+    return Benchmark(
+        name="cont",
+        space=CONTINUOUS_SPACE,
+        tasks=tasks,
+        direction="higher",
+        rows=rows,
+        table={tid: {r.key: r.metric for r in rs} for tid, rs in rows.items()},
+        norm_bounds={t.task_id: (0.0, 1.0) for t in tasks},
+        twins={},
+    )
+
+
+class TestFoldArtifacts:
+    @given(
+        data=st.data(),
+        task_rows=st.lists(st.lists(_CONTINUOUS_ROW, min_size=1, max_size=5), min_size=2, max_size=7),
+        records_per_task=st.integers(1, 3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_cached_pool_equals_a_fresh_build(self, data, task_rows, records_per_task):
+        b = continuous_benchmark(task_rows)
+        ids = [t.task_id for t in b.tasks]
+        subsets = st.lists(st.sampled_from(ids), min_size=1, unique=True)
+        folds = data.draw(st.lists(subsets, min_size=1, max_size=8))
+        backend, cache = ScriptedBackend(), {}
+        for train_ids in folds:
+            got = build_fold_artifacts(b, train_ids, backend, records_per_task, cache)
+            assert got == reference_fold_artifacts(b, train_ids, ScriptedBackend(), records_per_task)
+        assert backend.embed_calls == len({tid for train_ids in folds for tid in train_ids})
+
+    def test_loo_sweep_embeds_each_task_once(self, continuous_dir):
+        # Split points move between the folds of this bundle, so entries are
+        # rebuilt; a rebuild keeps the task's embedding.
+        b = load_benchmark(continuous_dir)
+        embedded = Counter()
+
+        class CountingBackend(ScriptedBackend):
+            def embed(self, text):
+                embedded[text] += 1
+                return super().embed(text)
+
+        seeds = [0, 1, 2]
+        report = run_loo_eval(b, "copilot", seeds, backend=CountingBackend())
+        assert not any(row.failed for row in report.rows)
+        # One pool embedding per task for the whole sweep, plus one query
+        # embedding for each fold that holds the task out.
+        assert embedded == Counter({t.description: 1 + len(seeds) for t in b.tasks})
 
 
 class TestRunLooEval:

@@ -260,6 +260,16 @@ class TestSuggest:
         rows = [json.loads(line) for line in result.stdout.splitlines() if line.strip()]
         assert len(rows) == 3
 
+    def test_pool_without_discretizers_exits_2(self, runner, ingest_inputs, new_task_file, tmp_path):
+        pool = run_ingest(runner, ingest_inputs, tmp_path / "pool")
+        (pool / "discretizers.json").unlink()
+        result = runner.invoke(
+            main, ["suggest", "--task-file", str(new_task_file), "--pool", str(pool)]
+        )
+        assert result.exit_code == 2, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "error:" in result.stderr and "discretizers.json" in result.stderr
+
     def test_unparseable_replay_exits_4(self, runner, ingest_inputs, new_task_file, tmp_path):
         pool = run_ingest(runner, ingest_inputs, tmp_path / "pool")
         show = runner.invoke(
@@ -293,6 +303,25 @@ class TestSuggest:
             ],
         )
         assert result.exit_code == 4
+
+
+def assert_eval_matches_golden(runner, bundle, tmp_path, name, extra):
+    out_csv = tmp_path / f"{name}.csv"
+    out_json = tmp_path / f"{name}.json"
+    result = runner.invoke(
+        main,
+        [
+            "eval",
+            "--benchmark", str(bundle),
+            "--seeds", "0,1",
+            "--out-csv", str(out_csv),
+            "--out-json", str(out_json),
+            *extra,
+        ],
+    )
+    assert result.exit_code == 0, result.output
+    assert out_csv.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+    assert out_json.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
 
 class TestEval:
@@ -353,22 +382,15 @@ class TestEval:
             config = tmp_path / "knowledge.json"
             config.write_text(json.dumps({"eval": {"use_knowledge": True}}))
             extra = ["--config", str(config), *extra]
-        out_csv = tmp_path / f"{name}.csv"
-        out_json = tmp_path / f"{name}.json"
-        result = runner.invoke(
-            main,
-            [
-                "eval",
-                "--benchmark", str(synth_dir),
-                "--seeds", "0,1",
-                "--out-csv", str(out_csv),
-                "--out-json", str(out_json),
-                *extra,
-            ],
+        assert_eval_matches_golden(runner, synth_dir, tmp_path, name, extra)
+
+    def test_continuous_report_matches_golden(self, runner, continuous_dir, tmp_path):
+        # Written by the code that rebuilt every pool entry in every fold. The
+        # split points of this bundle move between folds, so unlike the synth
+        # goldens it reaches the path that rebuilds a cached pool entry.
+        assert_eval_matches_golden(
+            runner, continuous_dir, tmp_path, "eval_copilot_continuous", ["--methods", "copilot"]
         )
-        assert result.exit_code == 0, result.output
-        assert out_csv.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
-        assert out_json.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
     @pytest.mark.parametrize(
         "file_name, text",
@@ -377,12 +399,18 @@ class TestEval:
             ("meta.json", '{"name": "synth"}'),
             ("twins.json", "[1, 2]"),
             ("twins.json", '{"synth-01": ["no-such-task"]}'),
+            ("twins.json", '{"synth-01": ["synth-02"]}'),
+            ("space.json", "{not json"),
+            ("space.json", None),
         ],
     )
     def test_malformed_bundle_exits_2(self, runner, synth_dir, tmp_path, file_name, text):
         bundle = tmp_path / "bundle"
         shutil.copytree(synth_dir, bundle)
-        (bundle / file_name).write_text(text)
+        if text is None:
+            (bundle / file_name).unlink()
+        else:
+            (bundle / file_name).write_text(text)
         result = runner.invoke(
             main,
             [

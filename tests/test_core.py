@@ -141,6 +141,24 @@ class TestFitDiscretizer:
             assert len(d.split_points) == 4
             assert np.allclose(d.split_points, expected, atol=1e-9)
 
+    @given(
+        values=st.lists(st.floats(1.0, 100.0), min_size=1, max_size=60),
+        repeats=st.lists(st.integers(0, 59), max_size=30),
+        log_scale=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_representatives_are_bin_medians_bit_for_bit(self, values, repeats, log_scale):
+        # The reference is the per-bin mask and np.median that the sorted
+        # slices replaced; repeats make ties and even-sized bins common.
+        values = values + [values[i % len(values)] for i in repeats]
+        d = fit_discretizer(values, ParameterDef("x", "numeric", (1.0, 100.0), log_scale))
+        vals = np.asarray(values)
+        idx = np.searchsorted(np.asarray(d.split_points), vals, side="right")
+        for i, label in enumerate(d.bin_labels):
+            members = vals[idx == i]
+            if members.size:
+                assert repr(d.representatives[label]) == repr(float(np.median(members)))
+
     def test_partial_collapse_uses_centered_labels(self):
         # Quantiles land on 1 (dropped: equals the minimum), 2, 2.4, and 3.
         values = [1, 1, 1, 2, 2, 2, 3, 3, 3, 10]

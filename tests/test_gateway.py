@@ -6,6 +6,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from expcopilot.bench import build_fold_artifacts
 from expcopilot.errors import ConfigError, GatewayError, ValidationError
 from expcopilot.gateway import (
     CompletionRequest,
@@ -17,7 +18,7 @@ from expcopilot.gateway import (
     estimate_tokens,
     prompt_sha256,
 )
-from expcopilot.suggestion import SuggestionConfig, build_suggestion_prompt
+from expcopilot.suggestion import SuggestionConfig, build_suggestion_prompt, suggest
 
 
 class TestEstimateTokens:
@@ -128,6 +129,19 @@ class TestReplayBackend:
         with pytest.raises(GatewayError, match=prompt_sha256("unseen")):
             backend.complete(CompletionRequest(prompt="unseen"))
 
+    def test_repeated_prompt_replays_in_recorded_order(self, tmp_path):
+        cassette = tmp_path / "cassette.jsonl"
+        sha = prompt_sha256("asked twice")
+        entries = [
+            {"prompt_sha256": sha, "request": {"kind": "complete", "temperature": t}, "response": text}
+            for t, text in ((0.0, "first answer"), (0.7, "second answer"))
+        ]
+        cassette.write_text("\n".join(json.dumps(e) for e in entries) + "\n")
+        backend = ReplayBackend(cassette)
+        replies = [backend.complete(CompletionRequest(prompt="asked twice")) for _ in range(3)]
+        # Once a prompt's recorded responses run out, the last one repeats.
+        assert replies == ["first answer", "second answer", "second answer"]
+
     def test_missing_cassette_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             ReplayBackend(tmp_path / "nope.jsonl")
@@ -150,7 +164,9 @@ class _Handler(BaseHTTPRequestHandler):
             self.end_headers()
             return
         if self.path.endswith("/completions"):
-            payload = {"choices": [{"text": state.get("completion", "ok completion")}]}
+            text = state.get("completion", "ok completion")
+            text = state.get("by_temperature", {}).get(body["temperature"], text)
+            payload = {"choices": [{"text": text}]}
         else:
             payload = {"data": [{"embedding": [0.3, 0.4, 0.5]}]}
         raw = json.dumps(payload).encode()
@@ -249,6 +265,26 @@ class TestHttpBackend:
         replay = ReplayBackend(tmp_path / "journal.jsonl")
         assert replay.complete(req) == live_completion
         assert replay.embed("journal me too").values == live_embedding.values
+
+    def test_repair_retry_replays_from_journal(self, http_server, tmp_path, synth_benchmark):
+        # The repair retry resends the prompt at temperature 0.7; replay must
+        # give the first call the garbage and the retry the valid text.
+        url, state = http_server
+        valid = "\n".join(
+            f"Configuration {i}: depth is low. shrinkage is high. booster is dart." for i in (1, 2, 3)
+        )
+        state["by_temperature"] = {0.0: "I cannot recommend anything.", 0.7: valid}
+        b = synth_benchmark
+
+        def run(backend):
+            train_ids = [t.task_id for t in b.tasks[1:]]
+            pool, discretizers = build_fold_artifacts(b, train_ids, backend)
+            return suggest(b.tasks[0], pool, [], b.space, discretizers, SuggestionConfig(), backend)
+
+        live = run(make_backend(url, tmp_path))
+        assert live.raw_response == "I cannot recommend anything."
+        assert live.repair_response == valid
+        assert run(ReplayBackend(tmp_path / "journal.jsonl")) == live
 
     def test_requires_api_key(self, monkeypatch):
         monkeypatch.delenv("EXPCOPILOT_API_KEY", raising=False)
