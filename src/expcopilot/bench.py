@@ -26,6 +26,7 @@ from .core import (
     check_direction,
     derive_seed,
     fit_discretizer,
+    rank_by_task,
     solution_key,
 )
 from .elicitation import ElicitationConfig, elicit_knowledge
@@ -70,11 +71,8 @@ class Benchmark:
     @cached_property
     def ranked_rows(self) -> Mapping[str, tuple[Row, ...]]:
         """Each task's rows, best metric first under the direction, stable on ties."""
-        sign = -1.0 if self.direction == "higher" else 1.0
-        return {
-            tid: tuple(sorted(rows, key=lambda row: sign * row.metric))
-            for tid, rows in self.rows.items()
-        }
+        triples = ((tid, row.metric, row) for tid, rows in self.rows.items() for row in rows)
+        return {tid: tuple(rows) for tid, rows in rank_by_task(triples, self.direction).items()}
 
     @cached_property
     def normalized_table(self) -> tuple[tuple[str, ...], dict[str, int], np.ndarray]:

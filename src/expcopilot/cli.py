@@ -15,7 +15,7 @@ from pathlib import Path
 import click
 
 from . import bench, storage
-from .core import CanonicalExperience, best_solutions, check_direction, derive_seed
+from .core import check_direction, derive_seed, rank_by_task
 from .elicitation import ElicitationConfig, elicit_knowledge
 from .errors import ConfigError, ExpCopilotError, GatewayError, ParseError
 from .gateway import backend_from_config, embed_batch, prompt_sha256
@@ -62,25 +62,22 @@ def load_config(path: str | None) -> AppConfig:
     return cfg
 
 
-def _build_entries(tasks, pool, embeddings, direction: str, per_task: int = 3) -> list[PoolEntry]:
-    """Assemble retrieval pool entries: each task with its best canonical experiences."""
-    by_task: dict[str, list[CanonicalExperience]] = {}
-    for exp in pool:
-        by_task.setdefault(exp.task_id, []).append(exp)
-    sign = -1.0 if direction == "higher" else 1.0
+def _build_entries(tasks, pool_path, embeddings, direction: str, per_task: int = 3) -> list[PoolEntry]:
+    """Assemble retrieval pool entries: each task with its `per_task` best experiences.
+    Every pool row is checked and ranked; only the kept rows are built."""
+    ranked = rank_by_task(storage.read_pool_rows(pool_path), direction)
     entries = []
     for task in tasks:
-        experiences = by_task.get(task.task_id)
-        if not experiences:
+        rows = ranked.get(task.task_id)
+        if not rows:
             continue
-        ranked = sorted(enumerate(experiences), key=lambda item: (sign * item[1].metric, item[0]))
         if task.task_id not in embeddings:
             raise ConfigError(f"no cached embedding for task '{task.task_id}'")
         entries.append(
             PoolEntry(
                 task=task,
                 embedding=embeddings[task.task_id],
-                experiences=tuple(exp for _, exp in ranked[:per_task]),
+                experiences=tuple(storage.experience_from_dict(row) for row in rows[:per_task]),
             )
         )
     return entries
@@ -95,9 +92,10 @@ def cmd_ingest(cfg: AppConfig, history_paths, space_path, tasks_path, out_dir) -
     if not records:
         raise ConfigError("history is empty: nothing to ingest")
 
+    ranked = rank_by_task(((r.task.task_id, r.metric, r) for r in records), cfg.direction)
     fitting: dict[str, list[float]] = {}
-    for task_id in sorted({r.task.task_id for r in records}):
-        for record in best_solutions(records, task_id, 3, cfg.direction):
+    for task_id in sorted(ranked):
+        for record in ranked[task_id][:3]:
             for p in space.parameters:
                 if p.kind == "numeric":
                     fitting.setdefault(p.name, []).append(float(record.solution.values[p.name]))
@@ -127,10 +125,9 @@ def _load_pool_dir(pool_dir, space_path=None):
     pool_dir = Path(pool_dir)
     space = storage.load_space(space_path or pool_dir / "space.json")
     tasks = storage.load_tasks(pool_dir / "tasks.jsonl")
-    pool = storage.load_pool(pool_dir / "pool.jsonl")
     discretizers = storage.load_discretizers(pool_dir / "discretizers.json")
     embeddings = storage.load_embeddings(pool_dir / "embeddings.jsonl")
-    return space, tasks, pool, discretizers, embeddings
+    return space, tasks, pool_dir / "pool.jsonl", discretizers, embeddings
 
 
 def _save_trace(trace, path) -> None:
@@ -155,9 +152,9 @@ def _save_trace(trace, path) -> None:
 
 def cmd_elicit(cfg: AppConfig, pool_dir, benchmark_dir, out_knowledge, out_trace) -> None:
     """Elicit one validated knowledge item for the pool's solution space."""
-    space, tasks, pool, discretizers, embeddings = _load_pool_dir(pool_dir)
+    space, tasks, pool_path, discretizers, embeddings = _load_pool_dir(pool_dir)
     benchmark = bench.load_benchmark(benchmark_dir)
-    entries = _build_entries(tasks, pool, embeddings, cfg.direction, cfg.suggestion.demos_per_task)
+    entries = _build_entries(tasks, pool_path, embeddings, cfg.direction, cfg.suggestion.demos_per_task)
     backend = backend_from_config(cfg.backend)
     e_cfg = replace(cfg.elicitation, seed=derive_seed(cfg.seed, "elicit"))
     best, trace = elicit_knowledge(
@@ -177,7 +174,7 @@ def cmd_suggest(
     cfg: AppConfig, task_file, pool_dir, knowledge_path, show_prompt: bool, space_path=None
 ) -> list[dict]:
     """Suggest configurations for the task described in task_file; returns JSON rows."""
-    space, tasks, pool, discretizers, embeddings = _load_pool_dir(pool_dir, space_path)
+    space, tasks, pool_path, discretizers, embeddings = _load_pool_dir(pool_dir, space_path)
     try:
         task = storage.task_from_dict(storage.read_json(task_file))
     except (AttributeError, KeyError, TypeError) as exc:
@@ -188,7 +185,7 @@ def cmd_suggest(
     if expected_tag and any(vec.model_tag != expected_tag for vec in embeddings.values()):
         vectors = embed_batch(backend, [t.description for t in tasks])
         embeddings = {t.task_id: vec for t, vec in zip(tasks, vectors)}
-    entries = _build_entries(tasks, pool, embeddings, cfg.direction, cfg.suggestion.demos_per_task)
+    entries = _build_entries(tasks, pool_path, embeddings, cfg.direction, cfg.suggestion.demos_per_task)
     knowledge = storage.load_knowledge(knowledge_path) if knowledge_path else []
     result = suggest(
         task, entries, knowledge, space, discretizers, cfg.suggestion, backend,
@@ -214,6 +211,11 @@ def cmd_eval(cfg: AppConfig, benchmark_dir, methods, seeds, out_csv, out_json) -
         elicitation=cfg.elicitation,
         use_knowledge=bool(cfg.eval.get("use_knowledge", False)),
     )
+    for out in (out_csv, out_json):
+        try:
+            Path(out).parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create the directory for {out}: {exc}") from exc
     reports = [
         bench.run_loo_eval(benchmark, method, seeds, eval_cfg, backend=backend)
         for method in methods

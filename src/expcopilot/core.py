@@ -412,6 +412,17 @@ def canonicalize(
     )
 
 
+def rank_by_task(triples: Iterable[tuple[str, float, object]], direction: str) -> dict[str, list]:
+    """Items of (task_id, metric, item) triples grouped by task, best metric first
+    under the direction, stable on ties."""
+    sign = -1.0 if check_direction(direction) == "higher" else 1.0
+    groups: dict[str, list] = {}
+    for index, (task_id, metric, item) in enumerate(triples):
+        groups.setdefault(task_id, []).append((sign * metric, index, item))
+    # Indices are unique, so sorting never compares the items themselves.
+    return {task_id: [item for _, _, item in sorted(group)] for task_id, group in groups.items()}
+
+
 def best_solutions(
     records: Sequence[ExperienceRecord],
     task_id: str,
@@ -421,8 +432,5 @@ def best_solutions(
     """The n best records for a task under the metric direction, stable on ties."""
     if n < 1:
         raise ValidationError("n must be at least 1")
-    check_direction(direction)
-    sign = -1.0 if direction == "higher" else 1.0
-    mine = [(i, r) for i, r in enumerate(records) if r.task.task_id == task_id]
-    mine.sort(key=lambda item: (sign * item[1].metric, item[0]))
-    return [r for _, r in mine[:n]]
+    mine = ((task_id, r.metric, r) for r in records if r.task.task_id == task_id)
+    return rank_by_task(mine, direction).get(task_id, [])[:n]

@@ -29,7 +29,7 @@ class EmbeddingVector:
     def __post_init__(self):
         if len(self.values) == 0:
             raise ValidationError("embedding must be non-empty")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(float, self.values)))
 
     @cached_property
     def array(self) -> np.ndarray:

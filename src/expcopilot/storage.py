@@ -51,7 +51,12 @@ def read_json(path: str | Path):
             raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
 
 
+_decode = json.JSONDecoder().raw_decode
+
+
 def read_jsonl(path: str | Path) -> list[dict]:
+    """The JSON value of each non-blank line, stripped: the values and errors of `json.loads`
+    without its whitespace scans. A malformed line raises ValidationError naming `path:lineno`."""
     out = []
     with _open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -59,9 +64,24 @@ def read_jsonl(path: str | Path) -> list[dict]:
             if not line:
                 continue
             try:
-                out.append(json.loads(line))
+                value, end = _decode(line)
+                if end != len(line):
+                    raise json.JSONDecodeError("Extra data", line, end)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
+            out.append(value)
+    return out
+
+
+def _load_records(path: str | Path, parse) -> list:
+    """`parse` of each record of a JSONL file; a malformed record raises ValidationError
+    naming `path:N`, N counting records."""
+    out = []
+    for lineno, d in enumerate(read_jsonl(path), start=1):
+        try:
+            out.append(parse(d))
+        except (AttributeError, KeyError, TypeError, ValueError, ValidationError) as exc:
+            raise ValidationError(f"{path}:{lineno}: malformed record ({exc!r})") from exc
     return out
 
 
@@ -137,7 +157,7 @@ def task_to_dict(task: Task) -> dict:
 
 
 def load_tasks(path: str | Path) -> list[Task]:
-    return [task_from_dict(d) for d in read_jsonl(path)]
+    return _load_records(path, task_from_dict)
 
 
 def save_tasks(tasks: Sequence[Task], path: str | Path) -> None:
@@ -150,23 +170,12 @@ def load_history(
     space: SolutionSpace,
 ) -> list[ExperienceRecord]:
     """Read history records (task_id, values, metric), resolving tasks by id."""
-    records: list[ExperienceRecord] = []
-    for path in paths:
-        for lineno, d in enumerate(read_jsonl(path), start=1):
-            try:
-                task = tasks_by_id.get(d["task_id"])
-                if task is None:
-                    raise ValidationError(f"unknown task_id {d['task_id']!r}")
-                records.append(
-                    ExperienceRecord(
-                        task=task,
-                        solution=Solution(space, d["values"]),
-                        metric=float(d["metric"]),
-                    )
-                )
-            except (KeyError, TypeError, ValueError, ValidationError) as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-    return records
+    def parse(d: Mapping) -> ExperienceRecord:
+        task = tasks_by_id.get(d["task_id"])
+        if task is None:
+            raise ValidationError(f"unknown task_id {d['task_id']!r}")
+        return ExperienceRecord(task=task, solution=Solution(space, d["values"]), metric=float(d["metric"]))
+    return [record for path in paths for record in _load_records(path, parse)]
 
 
 def discretizer_to_dict(d: Discretizer) -> dict:
@@ -225,8 +234,17 @@ def save_pool(experiences: Sequence[CanonicalExperience], path: str | Path) -> N
     write_jsonl(path, (experience_to_dict(e) for e in experiences))
 
 
-def load_pool(path: str | Path) -> list[CanonicalExperience]:
-    return [experience_from_dict(d) for d in read_jsonl(path)]
+def read_pool_rows(path: str | Path) -> list[tuple[str, float, dict]]:
+    """(task_id, metric, record) of every pool record, each checked but not yet built."""
+    fields = {"task_id", "space_id", "solution_text", "discrete_solution", "metric"}
+
+    def parse(d: dict) -> tuple[str, float, dict]:
+        if not d.keys() >= fields:
+            raise KeyError(f"a pool record needs the fields {sorted(fields)}")
+        if not (isinstance(d["task_id"], str) and isinstance(d["discrete_solution"], dict)):
+            raise TypeError("task_id must be a string and discrete_solution an object")
+        return d["task_id"], float(d["metric"]), d
+    return _load_records(path, parse)
 
 
 def save_embeddings(embeddings: Sequence[tuple[str, EmbeddingVector]], path: str | Path) -> None:
@@ -240,10 +258,9 @@ def save_embeddings(embeddings: Sequence[tuple[str, EmbeddingVector]], path: str
 
 
 def load_embeddings(path: str | Path) -> dict[str, EmbeddingVector]:
-    out: dict[str, EmbeddingVector] = {}
-    for d in read_jsonl(path):
-        out[d["task_id"]] = EmbeddingVector(values=tuple(d["values"]), model_tag=d["model_tag"])
-    return out
+    def parse(d: Mapping) -> tuple[str, EmbeddingVector]:
+        return d["task_id"], EmbeddingVector(values=d["values"], model_tag=d["model_tag"])
+    return dict(_load_records(path, parse))
 
 
 def knowledge_to_dict(item: KnowledgeItem) -> dict:
@@ -269,4 +286,4 @@ def save_knowledge(items: Sequence[KnowledgeItem], path: str | Path) -> None:
 
 
 def load_knowledge(path: str | Path) -> list[KnowledgeItem]:
-    return [knowledge_from_dict(d) for d in read_jsonl(path)]
+    return _load_records(path, knowledge_from_dict)

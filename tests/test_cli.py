@@ -6,11 +6,15 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import synth
+from expcopilot import cli, storage
 from expcopilot.cli import main
-from expcopilot.gateway import prompt_sha256
-from expcopilot.retrieval import hashed_bow_embedding
+from expcopilot.core import Task
+from expcopilot.gateway import ScriptedBackend, prompt_sha256
+from expcopilot.retrieval import EmbeddingVector, PoolEntry, hashed_bow_embedding
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -304,6 +308,87 @@ class TestSuggest:
         )
         assert result.exit_code == 4
 
+    @pytest.mark.parametrize(
+        "file_name, line",
+        [
+            ("pool.jsonl", '{"task_id": "synth-01"}'),
+            ("pool.jsonl", "[1, 2]"),
+            ("pool.jsonl", '{"task_id": "synth-01", "space_id": "synth-gbt", "solution_text": "x", '
+                           '"discrete_solution": {}, "metric": "abc"}'),
+            # The worst row of its task: malformed rows fail even when they would not be kept.
+            ("pool.jsonl", '{"task_id": "synth-01", "space_id": "synth-gbt", "solution_text": "x", '
+                           '"discrete_solution": 5, "metric": -1e9}'),
+            ("embeddings.jsonl", '{"task_id": "x"}'),
+            ("tasks.jsonl", '{"task_id": "x"}'),
+        ],
+    )
+    def test_malformed_pool_record_exits_2(
+        self, runner, ingest_inputs, new_task_file, tmp_path, file_name, line
+    ):
+        pool = run_ingest(runner, ingest_inputs, tmp_path / "pool")
+        with (pool / file_name).open("a") as fh:
+            fh.write(line + "\n")
+        lineno = len((pool / file_name).read_text().splitlines())
+        result = runner.invoke(
+            main, ["suggest", "--task-file", str(new_task_file), "--pool", str(pool)]
+        )
+        assert result.exit_code == 2, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert f"{file_name}:{lineno}: malformed record" in result.stderr
+
+    @pytest.mark.parametrize(
+        "name, direction, demos_per_task",
+        [
+            ("suggest_demos2", "higher", 2),
+            ("suggest_demos5", "higher", 5),
+            ("suggest_lower", "lower", 3),
+        ],
+    )
+    def test_output_matches_golden(
+        self, runner, ingest_inputs, new_task_file, tmp_path, name, direction, demos_per_task
+    ):
+        # Goldens were written by the code that built a CanonicalExperience for
+        # every pool row before ranking; stdout and prompt bytes must not move.
+        stdout, prompt = suggest_on_synth_pool(
+            runner, ingest_inputs, new_task_file, tmp_path, direction, demos_per_task
+        )
+        assert stdout == (GOLDEN / f"{name}.jsonl").read_bytes()
+        assert prompt == (GOLDEN / f"{name}_prompt.txt").read_bytes()
+
+
+def suggest_on_synth_pool(runner, ingest_inputs, task_file, tmp_path, direction, demos_per_task):
+    """stdout and `--show-prompt` stderr bytes of one suggest call on a freshly ingested pool."""
+    history, space, tasks = ingest_inputs
+    pool = tmp_path / "pool"
+    ingest = runner.invoke(
+        main,
+        [
+            "ingest",
+            "--history", str(history),
+            "--space", str(space),
+            "--tasks", str(tasks),
+            "--out", str(pool),
+            "--direction", direction,
+        ],
+    )
+    assert ingest.exit_code == 0, ingest.output
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps({"direction": direction, "suggestion": {"demos_per_task": demos_per_task}})
+    )
+    result = runner.invoke(
+        main,
+        [
+            "suggest",
+            "--config", str(config),
+            "--task-file", str(task_file),
+            "--pool", str(pool),
+            "--show-prompt",
+        ],
+    )
+    assert result.exit_code == 0, result.output
+    return result.stdout_bytes, result.stderr_bytes
+
 
 def assert_eval_matches_golden(runner, bundle, tmp_path, name, extra):
     out_csv = tmp_path / f"{name}.csv"
@@ -392,6 +477,47 @@ class TestEval:
             runner, continuous_dir, tmp_path, "eval_copilot_continuous", ["--methods", "copilot"]
         )
 
+    def test_missing_output_directories_are_created(self, runner, synth_dir, tmp_path):
+        out_csv = tmp_path / "a" / "b" / "r.csv"
+        out_json = tmp_path / "c" / "r.json"
+        result = runner.invoke(
+            main,
+            [
+                "eval",
+                "--benchmark", str(synth_dir),
+                "--methods", "copilot",
+                "--seeds", "0",
+                "--out-csv", str(out_csv),
+                "--out-json", str(out_json),
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        assert out_csv.read_text().startswith("method,seed,task_id,")
+        assert json.loads(out_json.read_text())["reports"][0]["method"] == "copilot"
+
+    def test_output_under_a_file_exits_2_before_the_sweep(
+        self, runner, synth_dir, tmp_path, monkeypatch
+    ):
+        backend = ScriptedBackend()
+        monkeypatch.setattr(cli, "backend_from_config", lambda config: backend)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        result = runner.invoke(
+            main,
+            [
+                "eval",
+                "--benchmark", str(synth_dir),
+                "--methods", "copilot",
+                "--seeds", "0",
+                "--out-csv", str(blocker / "r.csv"),
+                "--out-json", str(tmp_path / "r.json"),
+            ],
+        )
+        assert result.exit_code == 2, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "error:" in result.stderr and "blocker" in result.stderr
+        assert backend.completion_calls == 0
+
     @pytest.mark.parametrize(
         "file_name, text",
         [
@@ -425,3 +551,86 @@ class TestEval:
         assert result.exit_code == 2, result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert "error:" in result.output
+
+
+def reference_build_entries(tasks, pool_path, embeddings, direction, per_task):
+    """Pool entries as built before ranking moved to raw rows: a CanonicalExperience
+    for every row, grouped by task, then sorted by (sign * metric, position)."""
+    lines = Path(pool_path).read_text().splitlines()
+    pool = [storage.experience_from_dict(json.loads(line)) for line in lines]
+    by_task = {}
+    for exp in pool:
+        by_task.setdefault(exp.task_id, []).append(exp)
+    sign = -1.0 if direction == "higher" else 1.0
+    entries = []
+    for task in tasks:
+        experiences = by_task.get(task.task_id)
+        if not experiences:
+            continue
+        ranked = sorted(enumerate(experiences), key=lambda item: (sign * item[1].metric, item[0]))
+        entries.append(
+            PoolEntry(
+                task=task,
+                embedding=embeddings[task.task_id],
+                experiences=tuple(exp for _, exp in ranked[:per_task]),
+            )
+        )
+    return entries
+
+
+def entry_view(entries):
+    # repr keeps NaN and -0.0 metrics comparable.
+    return [
+        (
+            e.task.task_id,
+            e.embedding,
+            [(x.task_id, x.space_id, x.solution_text, dict(x.discrete_solution), repr(x.metric))
+             for x in e.experiences],
+        )
+        for e in entries
+    ]
+
+
+_POOL_METRICS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, float("nan")]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+class TestBuildEntries:
+    @given(
+        rows=st.lists(
+            st.tuples(st.sampled_from(["t0", "t1", "t2", "t3", "t4"]), _POOL_METRICS), max_size=40
+        ),
+        task_ids=st.lists(st.sampled_from(["t0", "t1", "t2", "t3"]), unique=True),
+        direction=st.sampled_from(["higher", "lower"]),
+        per_task=st.integers(1, 5),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_ranking_built_experiences(
+        self, tmp_path_factory, rows, task_ids, direction, per_task
+    ):
+        # Task t4 has rows but is not a pool task; tasks drawn without rows get no entry.
+        path = tmp_path_factory.getbasetemp() / "pool.jsonl"
+        path.write_text(
+            "".join(
+                json.dumps(
+                    {
+                        "task_id": task_id,
+                        "space_id": "s",
+                        "solution_text": f"row {i}",
+                        "discrete_solution": {"p": str(i)},
+                        "metric": metric,
+                    }
+                )
+                + "\n"
+                for i, (task_id, metric) in enumerate(rows)
+            )
+        )
+        tasks = [Task(task_id=t, space_id="s", description=f"task {t}") for t in task_ids]
+        embeddings = {
+            t: EmbeddingVector(values=(1.0, float(i)), model_tag="m") for i, t in enumerate(task_ids)
+        }
+        expected = reference_build_entries(tasks, path, embeddings, direction, per_task)
+        got = cli._build_entries(tasks, path, embeddings, direction, per_task)
+        assert entry_view(got) == entry_view(expected)

@@ -5,16 +5,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_loo_copilot_run_passes_its_oracle():
+@pytest.mark.parametrize("workload", ["loo-copilot-150", "cli-pool-150"])
+def test_traced_run_passes_its_oracle(workload):
     # A traced run wraps the program's functions by name and checks every fold
-    # against an independent oracle, so a renamed function or a changed
-    # result shows up here before a timed benchmark run.
+    # or CLI call against an independent oracle, so a renamed function or a
+    # changed result shows up here before a timed benchmark run.
     proc = subprocess.run(
         [
-            sys.executable, "perfbench/run.py", "--workload", "loo-copilot-150",
+            sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", "0", "--seconds", "0", "--trace", "1",
         ],
         cwd=ROOT, capture_output=True, text=True, timeout=600,

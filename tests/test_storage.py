@@ -1,0 +1,61 @@
+"""JSONL reading: the line decoder against per-line `json.loads`."""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from expcopilot.errors import ValidationError
+from expcopilot.storage import read_jsonl
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+# Python whitespace that JSON does not accept, and a BOM, which is neither.
+_PAD = st.text(st.sampled_from(" \t\x0b\x0c\xa0\u2003\ufeff"), max_size=3)
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+
+
+def _line(kind, value, pad_left, pad_right, garbage):
+    if kind == "blank":
+        return pad_left
+    if kind == "garbage":
+        return garbage
+    text = json.dumps(value)
+    if kind == "trailing":
+        text += pad_right + garbage
+    return pad_left + text + pad_right
+
+
+_LINES = st.lists(
+    st.builds(
+        _line,
+        st.sampled_from(["value", "value", "blank", "garbage", "trailing"]),
+        _JSON, _PAD, _PAD,
+        st.one_of(_TEXT, _JSON.map(json.dumps), st.sampled_from(["]", "}", ",", "x", "1"])),
+    ),
+    max_size=6,
+)
+
+
+def reference_read_jsonl(path):
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in (raw.strip() for raw in fh) if line]
+
+
+@given(lines=_LINES)
+@settings(max_examples=500, deadline=None)
+def test_read_jsonl_decodes_like_json_loads(tmp_path_factory, lines):
+    path = tmp_path_factory.getbasetemp() / "records.jsonl"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    try:
+        expected = reference_read_jsonl(path)
+    except json.JSONDecodeError:
+        with pytest.raises(ValidationError, match="records.jsonl:"):
+            read_jsonl(path)
+        return
+    # Compared as JSON text, so NaN equals NaN and 1 differs from 1.0.
+    assert json.dumps(read_jsonl(path)) == json.dumps(expected)
