@@ -33,7 +33,7 @@ from .elicitation import ElicitationConfig, elicit_knowledge
 from .errors import BenchmarkError, ConfigError, ExpCopilotError, ValidationError
 from .retrieval import PoolEntry
 from .storage import load_space, load_tasks, read_jsonl
-from .suggestion import SuggestionConfig, suggest
+from .suggestion import SuggestionConfig, retrieve_demos, suggest
 
 METHODS = ("random", "constant", "nearest", "copilot")
 
@@ -455,10 +455,10 @@ def _copilot_solutions(
             _assert_no_leakage(record.prompt, task, twins)
             if prompt_sink is not None:
                 prompt_sink.append((task.task_id, record.prompt))
+    demos = retrieve_demos(task, pool, sug_cfg, backend, exclude=held)
     result = suggest(
-        task, pool, knowledge, b.space, discretizers, sug_cfg, backend,
+        task, demos, knowledge, b.space, discretizers, sug_cfg, backend,
         fallback=lambda: baseline_constant(b, train_ids, cfg.suggestion.n_suggestions),
-        exclude=held,
     )
     scanned = strip_query_section(result.prompt)
     _assert_no_leakage(scanned, task, twins)

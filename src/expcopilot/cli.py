@@ -20,7 +20,7 @@ from .elicitation import ElicitationConfig, elicit_knowledge
 from .errors import ConfigError, ExpCopilotError, GatewayError, ParseError
 from .gateway import backend_from_config, embed_batch, prompt_sha256
 from .retrieval import PoolEntry
-from .suggestion import SuggestionConfig, suggest
+from .suggestion import SuggestionConfig, retrieve_demos, suggest
 
 
 @dataclass
@@ -187,10 +187,8 @@ def cmd_suggest(
         embeddings = {t.task_id: vec for t, vec in zip(tasks, vectors)}
     entries = _build_entries(tasks, pool_path, embeddings, cfg.direction, cfg.suggestion.demos_per_task)
     knowledge = storage.load_knowledge(knowledge_path) if knowledge_path else []
-    result = suggest(
-        task, entries, knowledge, space, discretizers, cfg.suggestion, backend,
-        exclude={task.task_id},
-    )
+    demos = retrieve_demos(task, entries, cfg.suggestion, backend, exclude={task.task_id})
+    result = suggest(task, demos, knowledge, space, discretizers, cfg.suggestion, backend)
     if show_prompt:
         click.echo(result.prompt, err=True)
     rows = [
@@ -212,6 +210,8 @@ def cmd_eval(cfg: AppConfig, benchmark_dir, methods, seeds, out_csv, out_json) -
         use_knowledge=bool(cfg.eval.get("use_knowledge", False)),
     )
     for out in (out_csv, out_json):
+        if Path(out).is_dir():
+            raise ConfigError(f"cannot write {out}: it is a directory")
         try:
             Path(out).parent.mkdir(parents=True, exist_ok=True)
         except OSError as exc:

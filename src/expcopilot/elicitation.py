@@ -17,6 +17,7 @@ from .core import Discretizer, SolutionSpace, Task
 from .errors import ConfigError, ElicitationError, ExpCopilotError, GatewayError, ValidationError
 from .gateway import CompletionRequest
 from .retrieval import KnowledgeItem, PoolEntry
+from .suggestion import SuggestionConfig, retrieve_demos, suggest
 
 DEFAULT_QUESTIONS = (
     "Q: From the examples above, what patterns can we observe about the relationship "
@@ -90,63 +91,50 @@ def split_validation(
     return train, val
 
 
-def build_elicitation_prompt(
-    space: SolutionSpace,
-    sampled: Sequence[PoolEntry | tuple[Task, Sequence]],
-    question: str,
-) -> str:
-    """Prompt asking for knowledge: space description, per-task demonstrations, question."""
+def build_elicitation_prompt(space: SolutionSpace, sampled: Sequence[PoolEntry], question: str) -> str:
+    """Prompt asking for knowledge: space description, per-task demonstrations, question.
+
+    Each entry shows all its experiences, in the same block format as the
+    online prompt's demonstrations.
+    """
     if not sampled:
         raise ValidationError("cannot build an elicitation prompt without experience")
-    blocks = [space.description]
-    for entry in sampled:
-        task, experiences = (entry.task, entry.experiences) if isinstance(entry, PoolEntry) else entry
-        lines = [f"Dataset: {task.description}"]
-        lines.extend(
-            f"Configuration {i}: {exp.solution_text}" for i, exp in enumerate(experiences, start=1)
-        )
-        blocks.append("\n".join(lines))
-    blocks.append(question)
+    blocks = [space.description, *("\n".join(entry.block_lines) for entry in sampled), question]
     return "\n\n".join(blocks)
 
 
 def validate_candidate(
     candidate: KnowledgeItem,
-    val_tasks: Sequence[Task],
-    pool: Sequence[PoolEntry],
+    queries: Sequence[tuple[Task, Sequence[PoolEntry] | None]],
     space: SolutionSpace,
     discretizers: Mapping[str, Discretizer],
     benchmark,
-    suggestion_config,
+    suggestion_config: SuggestionConfig,
     backend,
 ) -> float:
     """Score knowledge by mock-running the online stage on the validation tasks.
 
-    Returns the mean normalized metric@1; a suggestion that fails with an
-    `ExpCopilotError` scores 0 for its task instead of aborting the loop. Any
-    other exception is a programming error and propagates.
+    `queries` pairs each validation task with its demonstrations from
+    `retrieve_demos`, or with None where that retrieval failed with an
+    `ExpCopilotError`; only `suggest` runs here. Returns the mean normalized
+    metric@1; a task whose retrieval or suggestion failed with an
+    `ExpCopilotError` scores 0 instead of aborting the loop. Any other
+    exception is a programming error and propagates.
     """
     from .bench import evaluate_solution, normalize_accuracy
-    from .suggestion import suggest
 
     if not candidate.text:
         raise ValidationError("candidate text must be non-empty")
-    if not val_tasks:
+    if not queries:
         raise ValidationError("validation task set is empty")
     cfg = replace(suggestion_config, temperature=0.0)
     scores = []
-    for task in val_tasks:
+    for task, demos in queries:
+        if demos is None:
+            scores.append(0.0)
+            continue
         try:
-            result = suggest(
-                task,
-                pool,
-                [candidate],
-                space,
-                discretizers,
-                cfg,
-                backend,
-                exclude={task.task_id},
-            )
+            result = suggest(task, demos, [candidate], space, discretizers, cfg, backend)
             raw = evaluate_solution(benchmark, task.task_id, result.solutions[0])
             scores.append(normalize_accuracy(raw, task.task_id, benchmark))
         except ExpCopilotError:
@@ -160,7 +148,7 @@ def elicit_knowledge(
     benchmark,
     cfg: ElicitationConfig,
     backend,
-    suggestion_config=None,
+    suggestion_config: SuggestionConfig | None = None,
     discretizers: Mapping[str, Discretizer] | None = None,
     validator: Callable[[KnowledgeItem], float] | None = None,
 ) -> tuple[KnowledgeItem, list[ElicitationRound]]:
@@ -170,6 +158,14 @@ def elicit_knowledge(
     uniformly, generate a candidate, and validate it. Strict improvements reset
     the stagnation counter; the loop breaks once stagnation exceeds patience.
     Returns the best candidate (with its provenance and score) plus the trace.
+
+    The default scorer splits off validation tasks and retrieves each one's
+    demonstrations from the remaining entries once, before the first round:
+    only the candidate changes between rounds, so every round reuses them. A
+    task whose retrieval fails with an `ExpCopilotError` scores 0 in every
+    round. With a live backend, an embedding that still fails after its
+    retries therefore zeroes that task for the whole run, not for one round,
+    which is also what replaying the run's journal gives.
 
     `validator` overrides the default mock-online scorer, in which case the
     benchmark may be None.
@@ -188,12 +184,17 @@ def elicit_knowledge(
         train_tasks, val_tasks = split_validation(tasks, cfg.val_fraction, cfg.seed)
         train_ids = {t.task_id for t in train_tasks}
         gen_entries = [e for e in entries if e.task.task_id in train_ids]
-        train_pool = gen_entries
+        queries = []
+        for task in val_tasks:
+            try:
+                demos = retrieve_demos(task, gen_entries, suggestion_config, backend, exclude={task.task_id})
+            except ExpCopilotError:
+                demos = None
+            queries.append((task, demos))
 
         def validator(item: KnowledgeItem) -> float:
             return validate_candidate(
-                item, val_tasks, train_pool, space, discretizers,
-                benchmark, suggestion_config, backend,
+                item, queries, space, discretizers, benchmark, suggestion_config, backend
             )
     else:
         gen_entries = entries

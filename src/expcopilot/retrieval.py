@@ -70,6 +70,18 @@ class PoolEntry:
     def __post_init__(self):
         object.__setattr__(self, "experiences", tuple(self.experiences))
 
+    @cached_property
+    def block_lines(self) -> tuple[str, ...]:
+        """The entry's demonstration block, one line each: the dataset, then its configurations.
+
+        Online and offline prompts both render entries from these lines, so
+        each entry is formatted once however many prompts show it.
+        """
+        return (
+            f"Dataset: {self.task.description}",
+            *(f"Configuration {i}: {exp.solution_text}" for i, exp in enumerate(self.experiences, start=1)),
+        )
+
 
 def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
     """Cosine of the angle between two compatible embeddings."""

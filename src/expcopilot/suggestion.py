@@ -77,12 +77,7 @@ def _instruction(n: int, task_kind: str, have_demos: bool, have_knowledge: bool)
 
 
 def _demo_block(entry: PoolEntry, demos_per_task: int) -> str:
-    lines = [f"Dataset: {entry.task.description}"]
-    lines.extend(
-        f"Configuration {i}: {exp.solution_text}"
-        for i, exp in enumerate(entry.experiences[:demos_per_task], start=1)
-    )
-    return "\n".join(lines)
+    return "\n".join(entry.block_lines[: demos_per_task + 1])
 
 
 def build_suggestion_prompt(
@@ -224,34 +219,53 @@ def _discretize_solution(
     return out
 
 
-def suggest(
+def retrieve_demos(
     task: Task,
     pool: Sequence[PoolEntry],
+    cfg: SuggestionConfig,
+    backend,
+    exclude: Collection[str] = (),
+) -> list[PoolEntry]:
+    """The pool entries to demonstrate for `task`, most similar first.
+
+    Embeds the task's description once and ranks the pool by cosine
+    similarity, leaving out the task ids in `exclude`. Keeps the k_tasks
+    best, or every entry under fill-budget, where `build_suggestion_prompt`
+    cuts the list at the token budget. An empty pool gives no demonstrations
+    and no embedding call. The result depends only on the task and the pool,
+    so elicitation, which suggests for the same validation tasks every round,
+    retrieves once per task and reuses the list.
+    """
+    if not pool:
+        return []
+    query = backend.embed(task.description)
+    k = len(pool) if cfg.k_tasks == FILL_BUDGET else cfg.k_tasks
+    return [entry for entry, _ in retrieve_experience(query, pool, max(k, 1), exclude=exclude)]
+
+
+def suggest(
+    task: Task,
+    demos: Sequence[PoolEntry],
     knowledge_pool: Sequence[KnowledgeItem],
     space: SolutionSpace,
     discretizers: Mapping[str, Discretizer],
     cfg: SuggestionConfig,
     backend,
     fallback: Callable[[], Sequence[Solution]] | None = None,
-    exclude: Collection[str] = (),
 ) -> SuggestionSet:
-    """Run the online stage for one task: retrieve, prompt once, parse, concretize.
+    """Run the online stage for one task: prompt once, parse, concretize.
 
-    If the response yields fewer than n_suggestions valid configurations, one
-    repair retry at temperature 0.7 is attempted. Slots still empty after it
-    are filled from the solutions returned by `fallback`, a zero-argument
-    callable (typically the constant baseline) that is called only then.
+    `demos` are the ranked pool entries from `retrieve_demos`; the prompt
+    holds as many of them as the token budget allows. If the response yields
+    fewer than n_suggestions valid configurations, one repair retry at
+    temperature 0.7 is attempted. Slots still empty after it are filled from
+    the solutions returned by `fallback`, a zero-argument callable (typically
+    the constant baseline) that is called only then.
     """
     if task.space_id != space.space_id:
         raise ValidationError(
             f"task '{task.task_id}' belongs to space '{task.space_id}', not '{space.space_id}'"
         )
-    demos: list[PoolEntry] = []
-    if pool:
-        query = backend.embed(task.description)
-        k = len(pool) if cfg.k_tasks == FILL_BUDGET else cfg.k_tasks
-        retrieved = retrieve_experience(query, pool, max(k, 1), exclude=exclude)
-        demos = [entry for entry, _ in retrieved]
     knowledge = retrieve_knowledge(space.space_id, knowledge_pool)
     prompt = build_suggestion_prompt(space, task, demos, knowledge, cfg)
 

@@ -120,6 +120,14 @@ class TestElicit:
             outputs.append((knowledge.read_bytes(), trace.read_bytes()))
         assert outputs[0] == outputs[1]
 
+    def test_output_matches_golden(self, runner, ingest_inputs, synth_dir, tmp_path):
+        # Written by the code that retrieved every validation task's demos in
+        # every round. The knowledge text carries its elicitation prompt's
+        # hash and the trace every validation score.
+        knowledge, trace = elicit_on_synth_pool(runner, ingest_inputs, synth_dir, tmp_path)
+        assert knowledge == (GOLDEN / "elicit_knowledge.jsonl").read_bytes()
+        assert trace == (GOLDEN / "elicit_trace.jsonl").read_bytes()
+
     def test_trace_length_matches_stagnation_stop(self, runner, ingest_inputs, synth_dir, tmp_path):
         pool = run_ingest(runner, ingest_inputs, tmp_path / "pool")
         trace = tmp_path / "trace.jsonl"
@@ -151,6 +159,26 @@ class TestElicit:
             ],
         )
         assert result.exit_code == 2
+
+
+def elicit_on_synth_pool(runner, ingest_inputs, synth_dir, tmp_path):
+    """Knowledge and trace bytes of `elicit --seed 7` on a freshly ingested synth pool."""
+    pool = run_ingest(runner, ingest_inputs, tmp_path / "pool")
+    knowledge = tmp_path / "knowledge.jsonl"
+    trace = tmp_path / "trace.jsonl"
+    result = runner.invoke(
+        main,
+        [
+            "elicit",
+            "--pool", str(pool),
+            "--benchmark", str(synth_dir),
+            "--out", str(knowledge),
+            "--trace", str(trace),
+            "--seed", "7",
+        ],
+    )
+    assert result.exit_code == 0, result.output
+    return knowledge.read_bytes(), trace.read_bytes()
 
 
 @pytest.fixture
@@ -495,13 +523,21 @@ class TestEval:
         assert out_csv.read_text().startswith("method,seed,task_id,")
         assert json.loads(out_json.read_text())["reports"][0]["method"] == "copilot"
 
+    @pytest.mark.parametrize("blocker_kind", ["file", "directory"])
     def test_output_under_a_file_exits_2_before_the_sweep(
-        self, runner, synth_dir, tmp_path, monkeypatch
+        self, runner, synth_dir, tmp_path, monkeypatch, blocker_kind
     ):
+        # A file where the output's directory should be, or a directory
+        # where the output file should be.
         backend = ScriptedBackend()
         monkeypatch.setattr(cli, "backend_from_config", lambda config: backend)
         blocker = tmp_path / "blocker"
-        blocker.write_text("")
+        if blocker_kind == "file":
+            blocker.write_text("")
+            out_csv = blocker / "r.csv"
+        else:
+            blocker.mkdir()
+            out_csv = blocker
         result = runner.invoke(
             main,
             [
@@ -509,7 +545,7 @@ class TestEval:
                 "--benchmark", str(synth_dir),
                 "--methods", "copilot",
                 "--seeds", "0",
-                "--out-csv", str(blocker / "r.csv"),
+                "--out-csv", str(out_csv),
                 "--out-json", str(tmp_path / "r.json"),
             ],
         )

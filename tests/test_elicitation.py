@@ -1,24 +1,30 @@
-"""Knowledge elicitation tests: splits, prompt golden, and loop control flow."""
+"""Knowledge elicitation tests: splits, prompt golden, loop control flow, retrieval once per run."""
 
 import math
+import random
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from expcopilot.bench import build_fold_artifacts, normalize_accuracy
-from expcopilot.core import Task
+from expcopilot.bench import Benchmark, Row, build_fold_artifacts, evaluate_solution, normalize_accuracy
+from expcopilot.core import ParameterDef, Solution, SolutionSpace, Task, solution_key
 from expcopilot.elicitation import (
     DEFAULT_QUESTIONS,
     ElicitationConfig,
+    ElicitationRound,
     build_elicitation_prompt,
     elicit_knowledge,
     split_validation,
     validate_candidate,
 )
-from expcopilot.errors import ElicitationError, GatewayError, ValidationError
-from expcopilot.gateway import ScriptedBackend
-from expcopilot.retrieval import KnowledgeItem, cosine_similarity, hashed_bow_embedding
-from expcopilot.suggestion import SuggestionConfig
+from expcopilot.errors import ElicitationError, ExpCopilotError, GatewayError, ValidationError
+from expcopilot.gateway import CompletionRequest, ScriptedBackend, prompt_sha256
+from expcopilot.retrieval import KnowledgeItem, cosine_similarity, hashed_bow_embedding, retrieve_experience
+from expcopilot.suggestion import FILL_BUDGET, SuggestionConfig, retrieve_demos, suggest
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -209,6 +215,11 @@ class TestElicitControlFlow:
         assert len(excinfo.value.trace) == 5
 
 
+def queries_for(tasks, pool, backend, cfg=SuggestionConfig()):
+    """(task, demos) pairs as `elicit_knowledge` passes them to `validate_candidate`."""
+    return [(t, retrieve_demos(t, pool, cfg, backend, exclude={t.task_id})) for t in tasks]
+
+
 class TestValidateCandidate:
     def test_score_equals_nearest_neighbor_oracle(self, synth_benchmark):
         b = synth_benchmark
@@ -220,7 +231,7 @@ class TestValidateCandidate:
         candidate = KnowledgeItem(space_id=b.space.space_id, text="prefer shallow trees", validation_score=0.0)
 
         score = validate_candidate(
-            candidate, val_tasks, train_entries, b.space, discretizers,
+            candidate, queries_for(val_tasks, train_entries, backend), b.space, discretizers,
             b, SuggestionConfig(), backend,
         )
 
@@ -253,8 +264,8 @@ class TestValidateCandidate:
         candidate = KnowledgeItem(space_id=b.space.space_id, text="x", validation_score=0.0)
         with pytest.raises(RuntimeError, match="bug in the backend"):
             validate_candidate(
-                candidate, [entries[-1].task], entries[:-1], b.space, discretizers,
-                b, SuggestionConfig(), backend,
+                candidate, queries_for([entries[-1].task], entries[:-1], backend), b.space,
+                discretizers, b, SuggestionConfig(), backend,
             )
 
     def test_package_error_in_backend_scores_zero(self, synth_benchmark):
@@ -267,8 +278,8 @@ class TestValidateCandidate:
         entries, discretizers = build_fold_artifacts(b, [t.task_id for t in b.tasks], backend)
         candidate = KnowledgeItem(space_id=b.space.space_id, text="x", validation_score=0.0)
         score = validate_candidate(
-            candidate, [entries[-1].task], entries[:-1], b.space, discretizers,
-            b, SuggestionConfig(), backend,
+            candidate, queries_for([entries[-1].task], entries[:-1], backend), b.space,
+            discretizers, b, SuggestionConfig(), backend,
         )
         assert score == 0.0
 
@@ -279,7 +290,7 @@ class TestValidateCandidate:
         candidate = KnowledgeItem(space_id=b.space.space_id, text="x", validation_score=0.0)
         with pytest.raises(ValidationError):
             validate_candidate(
-                candidate, [], entries, b.space, discretizers, b, SuggestionConfig(), backend
+                candidate, [], b.space, discretizers, b, SuggestionConfig(), backend
             )
 
     def test_scripted_backend_gives_identical_scores_across_candidates(self, synth_benchmark):
@@ -288,11 +299,11 @@ class TestValidateCandidate:
         b = synth_benchmark
         backend = ScriptedBackend()
         entries, discretizers = build_fold_artifacts(b, [t.task_id for t in b.tasks], backend)
-        val_tasks = [entries[-1].task]
+        queries = queries_for([entries[-1].task], entries[:-1], backend)
         scores = [
             validate_candidate(
                 KnowledgeItem(space_id=b.space.space_id, text=text, validation_score=0.0),
-                val_tasks, entries[:-1], b.space, discretizers, b, SuggestionConfig(), backend,
+                queries, b.space, discretizers, b, SuggestionConfig(), backend,
             )
             for text in ("guideline one", "guideline two")
         ]
@@ -326,3 +337,186 @@ class TestElicitEndToEnd:
                 [], synth_benchmark.space, synth_benchmark,
                 ElicitationConfig(), ScriptedBackend(),
             )
+
+
+GRID_SPACE = SolutionSpace(
+    "grid",
+    "Here are some datasets along with the best configurations of a boosted tree model.",
+    (
+        ParameterDef("depth", "numeric", numeric_range=(1.0, 9.0)),
+        ParameterDef("rate", "numeric", numeric_range=(1e-3, 1.0), log_scale=True),
+        ParameterDef("booster", "categorical", choices=("tree", "dart")),
+    ),
+)
+GRID = tuple(
+    Solution(GRID_SPACE, {"depth": d, "rate": r, "booster": bo})
+    for d in (1.0, 3.0, 5.0, 7.0, 9.0)
+    for r in (1e-3, 1e-2, 1e-1, 1.0)
+    for bo in ("tree", "dart")
+)
+WORDS = ("wide", "tall", "noisy", "sparse", "dense", "images", "text", "tabular", "binary", "skewed")
+
+
+def generated_benchmark(n_tasks, seed, direction):
+    """Benchmark whose tasks have random word descriptions and random metrics on one grid."""
+    rng = random.Random(seed)
+    tasks = tuple(
+        Task(f"g-{i:02d}", "grid", " ".join(rng.choices(WORDS, k=rng.randint(2, 5))))
+        for i in range(n_tasks)
+    )
+    rows = {
+        t.task_id: tuple(Row(solution_key(GRID_SPACE, s), s, rng.random()) for s in GRID)
+        for t in tasks
+    }
+    return Benchmark(
+        name="grid",
+        space=GRID_SPACE,
+        tasks=tasks,
+        direction=direction,
+        rows=rows,
+        table={tid: {r.key: r.metric for r in rs} for tid, rs in rows.items()},
+        norm_bounds={tid: (min(r.metric for r in rs), max(r.metric for r in rs)) for tid, rs in rows.items()},
+        twins={},
+    )
+
+
+class GuidedBackend(ScriptedBackend):
+    """Scripted backend whose suggestions depend on the whole prompt, knowledge included.
+
+    A suggestion prompt gets the configurations of the demonstration picked by
+    the prompt's hash, so candidates score differently, or a fixed
+    configuration when it has no demonstrations; one prompt in four gets an
+    unparseable answer at temperature 0, which the repair retry fixes.
+    `embed` raises `GatewayError` for the texts in `fail_texts`.
+    """
+
+    def __init__(self, fail_texts=()):
+        super().__init__(policy=self.answer)
+        self.fail_texts = set(fail_texts)
+
+    def embed(self, text):
+        if text in self.fail_texts:
+            raise GatewayError(f"embedding refused for {text!r}")
+        return super().embed(text)
+
+    @staticmethod
+    def answer(prompt, temperature):
+        digest = int(prompt_sha256(prompt)[:8], 16)
+        if prompt.splitlines()[-1].startswith("Q:"):
+            return f"Prefer guideline {digest % 97}."
+        if temperature == 0.0 and digest % 4 == 0:
+            return "no configurations here"
+        blocks = prompt.split("\n\nDataset: ")[1:-1]
+        if not blocks:
+            return "\n".join(f"Configuration {i}: depth is medium. rate is low. booster is tree." for i in (1, 2, 3))
+        chosen = blocks[digest % len(blocks)].splitlines()[1:]
+        return "\n".join(chosen)
+
+
+def reference_elicit(pool, space, benchmark, cfg, backend, sug_cfg, discretizers):
+    """The elicitation loop as it was when each validation call retrieved its own
+    demonstrations, so every round embedded and ranked every validation task again.
+    `GuidedBackend` never fails a completion, so the failed-round branch is left out."""
+    entries = [e for e in pool if e.task.space_id == space.space_id]
+    train, val = split_validation([e.task for e in entries], cfg.val_fraction, cfg.seed)
+    train_ids = {t.task_id for t in train}
+    gen = [e for e in entries if e.task.task_id in train_ids]
+    val_cfg = replace(sug_cfg, temperature=0.0)
+
+    def score(candidate):
+        scores = []
+        for task in val:
+            try:
+                query = backend.embed(task.description)
+                k = len(gen) if sug_cfg.k_tasks == FILL_BUDGET else sug_cfg.k_tasks
+                ranked = retrieve_experience(query, gen, max(k, 1), exclude={task.task_id})
+                demos = [entry for entry, _ in ranked]
+                result = suggest(task, demos, [candidate], space, discretizers, val_cfg, backend)
+                raw = evaluate_solution(benchmark, task.task_id, result.solutions[0])
+                scores.append(normalize_accuracy(raw, task.task_id, benchmark))
+            except ExpCopilotError:
+                scores.append(0.0)
+        return sum(scores) / len(scores)
+
+    rng = random.Random(cfg.seed)
+    best, best_score, stagnation, trace = None, -math.inf, 0, []
+    for n in range(1, cfg.rounds + 1):
+        subset = rng.sample(gen, min(cfg.subset_size, len(gen)))
+        question = rng.choice(cfg.questions)
+        temperature = rng.uniform(0.0, 1.0)
+        prompt = build_elicitation_prompt(space, subset, question)
+        text = backend.complete(CompletionRequest(prompt, temperature=temperature, max_tokens=cfg.max_tokens))
+        provenance = {"question": question, "temperature": temperature, "round": n}
+        candidate = KnowledgeItem(space.space_id, text, 0.0, provenance)
+        value = score(candidate)
+        improved = value > best_score
+        if improved:
+            best, best_score, stagnation = replace(candidate, validation_score=value), value, 0
+        else:
+            stagnation += 1
+        trace.append(ElicitationRound(n, question, temperature, prompt, text, value, improved, stagnation))
+        if stagnation > cfg.patience:
+            break
+    return best, trace
+
+
+class TestRetrieveOncePerRun:
+    @given(
+        n_tasks=st.integers(3, 9),
+        bench_seed=st.integers(0, 2**16),
+        direction=st.sampled_from(("higher", "lower")),
+        data=st.data(),
+        rounds=st.integers(1, 6),
+        patience=st.integers(1, 3),
+        val_fraction=st.sampled_from((0.1, 0.3, 0.5)),
+        subset_size=st.integers(1, 3),
+        k_tasks=st.sampled_from((FILL_BUDGET, 1, 2)),
+        seed=st.integers(0, 2**16),
+        fail_one=st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_per_round_retrieval(
+        self, n_tasks, bench_seed, direction, data, rounds, patience, val_fraction,
+        subset_size, k_tasks, seed, fail_one,
+    ):
+        b = generated_benchmark(n_tasks, bench_seed, direction)
+        ids = [t.task_id for t in b.tasks]
+        train_ids = data.draw(st.lists(st.sampled_from(ids), min_size=2, unique=True))
+        pool, discretizers = build_fold_artifacts(b, train_ids, ScriptedBackend())
+        cfg = ElicitationConfig(
+            rounds=rounds, patience=patience, seed=seed,
+            subset_size=subset_size, val_fraction=val_fraction,
+        )
+        sug_cfg = SuggestionConfig(k_tasks=k_tasks)
+        fail_texts = ()
+        if fail_one:
+            # One validation task's retrieval fails: it scores 0 in every round.
+            _, val = split_validation([e.task for e in pool], val_fraction, seed)
+            fail_texts = (data.draw(st.sampled_from(val)).description,)
+
+        got = elicit_knowledge(
+            pool, b.space, b, cfg, GuidedBackend(fail_texts),
+            suggestion_config=sug_cfg, discretizers=discretizers,
+        )
+        assert got == reference_elicit(
+            pool, b.space, b, cfg, GuidedBackend(fail_texts), sug_cfg, discretizers
+        )
+
+    def test_elicitation_embeds_each_validation_task_once(self, synth_benchmark):
+        b = synth_benchmark
+        pool, discretizers = build_fold_artifacts(b, [t.task_id for t in b.tasks], ScriptedBackend())
+        embedded = Counter()
+
+        class CountingBackend(ScriptedBackend):
+            def embed(self, text):
+                embedded[text] += 1
+                return super().embed(text)
+
+        cfg = ElicitationConfig(rounds=6, patience=6, seed=3, val_fraction=0.3)
+        _, trace = elicit_knowledge(
+            pool, b.space, b, cfg, CountingBackend(),
+            suggestion_config=SuggestionConfig(), discretizers=discretizers,
+        )
+        _, val = split_validation([e.task for e in pool], cfg.val_fraction, cfg.seed)
+        assert len(trace) == 6 and all(r.score is not None for r in trace)
+        assert embedded == Counter({t.description: 1 for t in val})

@@ -7,6 +7,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from expcopilot.bench import build_fold_artifacts
+from expcopilot.elicitation import ElicitationConfig, elicit_knowledge
 from expcopilot.errors import ConfigError, GatewayError, ValidationError
 from expcopilot.gateway import (
     CompletionRequest,
@@ -18,7 +19,7 @@ from expcopilot.gateway import (
     estimate_tokens,
     prompt_sha256,
 )
-from expcopilot.suggestion import SuggestionConfig, build_suggestion_prompt, suggest
+from expcopilot.suggestion import SuggestionConfig, build_suggestion_prompt, retrieve_demos, suggest
 
 
 class TestEstimateTokens:
@@ -279,12 +280,37 @@ class TestHttpBackend:
         def run(backend):
             train_ids = [t.task_id for t in b.tasks[1:]]
             pool, discretizers = build_fold_artifacts(b, train_ids, backend)
-            return suggest(b.tasks[0], pool, [], b.space, discretizers, SuggestionConfig(), backend)
+            demos = retrieve_demos(b.tasks[0], pool, SuggestionConfig(), backend)
+            return suggest(b.tasks[0], demos, [], b.space, discretizers, SuggestionConfig(), backend)
 
         live = run(make_backend(url, tmp_path))
         assert live.raw_response == "I cannot recommend anything."
         assert live.repair_response == valid
         assert run(ReplayBackend(tmp_path / "journal.jsonl")) == live
+
+    def test_elicitation_replays_from_journal(self, http_server, tmp_path, synth_benchmark):
+        # Live elicitation journals each validation task's embedding once and
+        # every round's completions; replaying the journal gives the same run.
+        url, state = http_server
+        state["completion"] = "\n".join(
+            f"Configuration {i}: depth is {level}. shrinkage is high. booster is dart."
+            for i, level in enumerate(("low", "medium", "high"), start=1)
+        )
+        b = synth_benchmark
+        cfg = ElicitationConfig(rounds=3, patience=3, seed=5, val_fraction=0.3)
+
+        def run(backend):
+            pool, discretizers = build_fold_artifacts(b, [t.task_id for t in b.tasks], backend)
+            return elicit_knowledge(
+                pool, b.space, b, cfg, backend,
+                suggestion_config=SuggestionConfig(), discretizers=discretizers,
+            )
+
+        live_best, live_trace = run(make_backend(url, tmp_path))
+        assert len(live_trace) == 3 and all(r.score is not None for r in live_trace)
+        embeds = [r for r in state["requests"] if r["path"].endswith("/embeddings")]
+        assert len(embeds) == len(b.tasks) + 4  # the pool, then the 4 validation tasks once
+        assert run(ReplayBackend(tmp_path / "journal.jsonl")) == (live_best, live_trace)
 
     def test_requires_api_key(self, monkeypatch):
         monkeypatch.delenv("EXPCOPILOT_API_KEY", raising=False)

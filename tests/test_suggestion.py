@@ -29,6 +29,7 @@ from expcopilot.suggestion import (
     build_suggestion_prompt,
     concretize,
     parse_solutions,
+    retrieve_demos,
     suggest,
 )
 
@@ -339,10 +340,8 @@ class TestSuggest:
         pool, discretizers = build_fold_artifacts(b, ids, backend)
         task = b.tasks[0]
         before = backend.completion_calls
-        result = suggest(
-            task, pool, [], b.space, discretizers, SuggestionConfig(), backend,
-            exclude={task.task_id},
-        )
+        demos = retrieve_demos(task, pool, SuggestionConfig(), backend, exclude={task.task_id})
+        result = suggest(task, demos, [], b.space, discretizers, SuggestionConfig(), backend)
         # Exactly one completion call and the partner task's best configurations.
         assert backend.completion_calls - before == 1
         partner = pool[1]  # synth-02
