@@ -41,6 +41,8 @@ def load_config(path: str | None) -> AppConfig:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"invalid config {path}: expected a JSON object")
     try:
         sug_raw = dict(raw.get("suggestion", {}))
         if "stop_sequences" in sug_raw and sug_raw["stop_sequences"] is not None:
@@ -57,7 +59,7 @@ def load_config(path: str | None) -> AppConfig:
             elicitation=ElicitationConfig(**eli_raw),
             eval=dict(raw.get("eval", {})),
         )
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config {path}: {exc}") from exc
     return cfg
 
@@ -99,14 +101,23 @@ def cmd_ingest(cfg: AppConfig, history_paths, space_path, tasks_path, out_dir) -
             for p in space.parameters:
                 if p.kind == "numeric":
                     fitting.setdefault(p.name, []).append(float(record.solution.values[p.name]))
-    from .core import canonicalize, fit_discretizer
+    from .core import CanonicalExperience, canonicalize, fit_discretizer
 
     discretizers = {
         p.name: fit_discretizer(fitting[p.name], p)
         for p in space.parameters
         if p.kind == "numeric"
     }
-    experiences = [canonicalize(r, space, discretizers) for r in records]
+    # Canonical forms depend only on the solution, and histories repeat few solutions
+    # across many tasks, so each distinct solution is canonicalized once.
+    canonical: dict[tuple, tuple] = {}
+    experiences = []
+    for r in records:
+        key = tuple(r.solution.values.items())
+        if key not in canonical:
+            exp = canonicalize(r, space, discretizers)
+            canonical[key] = exp.solution_text, exp.discrete_solution
+        experiences.append(CanonicalExperience(r.task.task_id, space.space_id, *canonical[key], r.metric))
 
     backend = backend_from_config(cfg.backend)
     vectors = embed_batch(backend, [t.description for t in tasks])
@@ -322,7 +333,10 @@ def eval_command(config_path, benchmark_dir, methods, seeds, out_csv, out_json):
     def run():
         cfg = load_config(config_path)
         method_list = [m.strip() for m in methods.split(",") if m.strip()]
-        seed_list = [int(s) for s in seeds.split(",") if s.strip()]
+        try:
+            seed_list = [int(s) for s in seeds.split(",") if s.strip()]
+        except ValueError as exc:
+            raise ConfigError(f"--seeds must be comma-separated integers, got {seeds!r}") from exc
         cmd_eval(cfg, benchmark_dir, method_list, seed_list, out_csv, out_json)
     _exit_on_error(run)
 

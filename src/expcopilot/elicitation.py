@@ -99,7 +99,7 @@ def build_elicitation_prompt(space: SolutionSpace, sampled: Sequence[PoolEntry],
     """
     if not sampled:
         raise ValidationError("cannot build an elicitation prompt without experience")
-    blocks = [space.description, *("\n".join(entry.block_lines) for entry in sampled), question]
+    blocks = [space.description, *(entry.block() for entry in sampled), question]
     return "\n\n".join(blocks)
 
 

@@ -39,6 +39,13 @@ def estimate_tokens(text: str, chars_per_token: int = 4) -> int:
     return -(-len(text) // chars_per_token)
 
 
+def max_prompt_chars(budget: int, chars_per_token: int = 4) -> int:
+    """The longest text `estimate_tokens` keeps within `budget`: ceil(L / c) <= B iff L <= B * c."""
+    if chars_per_token < 1:
+        raise ValidationError("chars_per_token must be at least 1")
+    return budget * chars_per_token
+
+
 @dataclass(frozen=True)
 class CompletionRequest:
     prompt: str
@@ -153,16 +160,19 @@ class ReplayBackend:
             raise ConfigError(f"replay cassette not found: {path}")
         self._responses: dict[tuple[str, str], deque] = {}
         with path.open(encoding="utf-8") as fh:
-            for line in fh:
+            for line_no, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
-                entry = json.loads(line)
-                kind = entry["request"].get("kind", "complete")
-                response = entry["response"]
-                if kind == "embed":
-                    response = (response, entry["request"].get("model", "replay"))
-                self._responses.setdefault((kind, entry["prompt_sha256"]), deque()).append(response)
+                try:
+                    entry = json.loads(line)
+                    request, sha, response = entry["request"], entry["prompt_sha256"], entry["response"]
+                    kind = request.get("kind", "complete")
+                    if kind == "embed":
+                        response = (response, request.get("model", "replay"))
+                except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                    raise ConfigError(f"{path}:{line_no}: malformed cassette entry ({exc!r})") from exc
+                self._responses.setdefault((kind, sha), deque()).append(response)
 
     def _next(self, kind: str, sha: str):
         queue = self._responses.get((kind, sha))
@@ -302,10 +312,17 @@ def embed_batch(backend, texts: Sequence[str], max_workers: int = 4) -> list[Emb
 
 def backend_from_config(cfg: dict) -> ScriptedBackend | ReplayBackend | HttpBackend:
     """Build a backend from its config mapping ({"kind": ..., ...})."""
+
+    def number(key: str, default, cast=int):
+        try:
+            return cast(cfg.get(key, default))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"backend {key} must be a number, got {cfg[key]!r}") from exc
+
     kind = cfg.get("kind")
     if kind == "scripted":
         policy = NearestNeighborPolicy(default_completion=cfg.get("default_completion"))
-        return ScriptedBackend(policy=policy, embed_dim=int(cfg.get("embed_dim", BOW_DIM)))
+        return ScriptedBackend(policy=policy, embed_dim=number("embed_dim", BOW_DIM))
     if kind == "replay":
         if "cassette" not in cfg:
             raise ConfigError("replay backend requires a 'cassette' path")
@@ -318,9 +335,9 @@ def backend_from_config(cfg: dict) -> ScriptedBackend | ReplayBackend | HttpBack
             endpoint=cfg["endpoint"],
             model=cfg["model"],
             embed_model=cfg["embed_model"],
-            timeout=float(cfg.get("timeout", 30.0)),
-            max_attempts=int(cfg.get("max_attempts", 3)),
-            max_in_flight=int(cfg.get("max_in_flight", 4)),
+            timeout=number("timeout", 30.0, float),
+            max_attempts=number("max_attempts", 3),
+            max_in_flight=number("max_in_flight", 4),
             journal_path=cfg.get("journal"),
         )
     raise ConfigError(f"unknown backend kind: {kind!r}")

@@ -14,7 +14,7 @@ from typing import Callable, Collection, Mapping, Sequence
 
 from .core import Discretizer, Solution, SolutionSpace, Task
 from .errors import ParseError, ValidationError
-from .gateway import CompletionRequest, estimate_tokens
+from .gateway import CompletionRequest, estimate_tokens, max_prompt_chars
 from .retrieval import KnowledgeItem, PoolEntry, retrieve_experience, retrieve_knowledge
 
 _CONFIG_LINE = re.compile(r"^\s*configuration\s+\d+\s*:\s*(?P<body>.*)$", re.IGNORECASE)
@@ -77,7 +77,7 @@ def _instruction(n: int, task_kind: str, have_demos: bool, have_knowledge: bool)
 
 
 def _demo_block(entry: PoolEntry, demos_per_task: int) -> str:
-    return "\n".join(entry.block_lines[: demos_per_task + 1])
+    return entry.block(demos_per_task)
 
 
 def build_suggestion_prompt(
@@ -89,11 +89,12 @@ def build_suggestion_prompt(
 ) -> str:
     """Assemble the online prompt, fitting demonstrations into the token budget.
 
-    Demonstration blocks are rendered once and appended most-similar-first,
-    stopping at the first block that would push the ceil(chars / chars_per_token)
-    estimate over the budget. The result is the prompt with the most
-    demonstrations that fits: the prompt grows strictly with every block, and
-    the instruction without demonstrations is the shortest one.
+    Demonstration blocks are taken most-similar-first, stopping at the first
+    one that would push the prompt past `max_prompt_chars`, the length limit
+    of the ceil(chars / chars_per_token) estimate; the prompt is joined once.
+    The result is the prompt with the most demonstrations that fits: the
+    prompt grows with every block, and the one without demonstrations is the
+    shortest.
     """
     if cfg.k_tasks != FILL_BUDGET:
         demos = list(demos)[: cfg.k_tasks]
@@ -107,25 +108,24 @@ def build_suggestion_prompt(
         parts.append(f"Dataset: {task.description}")
         return "\n\n".join(parts)
 
-    def fits(prompt: str) -> bool:
-        return estimate_tokens(prompt, cfg.chars_per_token) <= cfg.token_budget
-
-    prompt = None
-    head = space.description
+    sections = [space.description]
     demo_tail = tail(True)
+    # Characters left for demonstration blocks; every section after the first adds a "\n\n".
+    room = max_prompt_chars(cfg.token_budget, cfg.chars_per_token)
+    room -= len(space.description) + 2 + len(demo_tail)
     for entry in demos:
-        head = f"{head}\n\n{_demo_block(entry, cfg.demos_per_task)}"
-        candidate = f"{head}\n\n{demo_tail}"
-        if not fits(candidate):
+        block = _demo_block(entry, cfg.demos_per_task)
+        room -= len(block) + 2
+        if room < 0:
             break
-        prompt = candidate
-    if prompt is None:
-        prompt = f"{space.description}\n\n{tail(False)}"
-        if not fits(prompt):
-            raise ValidationError(
-                f"budget exhausted: {cfg.token_budget} tokens cannot fit the prompt even "
-                "without demonstrations"
-            )
+        sections.append(block)
+    sections.append(demo_tail if len(sections) > 1 else tail(False))
+    prompt = "\n\n".join(sections)
+    if estimate_tokens(prompt, cfg.chars_per_token) > cfg.token_budget:
+        raise ValidationError(
+            f"budget exhausted: {cfg.token_budget} tokens cannot fit the prompt even "
+            "without demonstrations"
+        )
     return prompt
 
 

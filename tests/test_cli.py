@@ -81,6 +81,28 @@ class TestIngest:
         for name, digest in frozen.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
+    def test_canonicalizes_each_distinct_solution_once(
+        self, runner, ingest_inputs, tmp_path, monkeypatch
+    ):
+        from expcopilot import core
+
+        calls = []
+        real = core.canonicalize
+
+        def counting(record, space, discretizers):
+            calls.append(record.task.task_id)
+            return real(record, space, discretizers)
+
+        monkeypatch.setattr(core, "canonicalize", counting)
+        out = run_ingest(runner, ingest_inputs, tmp_path / "pool")
+        history = [json.loads(line) for line in ingest_inputs[0].read_text().splitlines()]
+        distinct = {json.dumps(row["values"], sort_keys=True) for row in history}
+        assert len(calls) == len(distinct) < len(history)
+        pool = [json.loads(line) for line in (out / "pool.jsonl").read_text().splitlines()]
+        assert [(r["task_id"], r["metric"]) for r in pool] == [
+            (row["task_id"], float(row["metric"])) for row in history
+        ]
+
     def test_empty_history_is_config_error(self, runner, ingest_inputs, tmp_path):
         history, space, tasks = ingest_inputs
         empty = tmp_path / "empty.jsonl"
@@ -587,6 +609,33 @@ class TestEval:
         assert result.exit_code == 2, result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert "error:" in result.output
+
+    @pytest.mark.parametrize(
+        "config, seeds",
+        [
+            (None, "a"),
+            ([1, 2], "0"),
+            ({"seed": "x"}, "0"),
+            ({"backend": {"kind": "scripted", "embed_dim": "abc"}}, "0"),
+            ({"backend": {"kind": "http", "endpoint": "http://localhost:9", "model": "m",
+                          "embed_model": "e", "timeout": "soon"}}, "0"),
+            ({"backend": {"kind": "http", "endpoint": "http://localhost:9", "model": "m",
+                          "embed_model": "e", "max_attempts": "many"}}, "0"),
+            ({"backend": {"kind": "http", "endpoint": "http://localhost:9", "model": "m",
+                          "embed_model": "e", "max_in_flight": [4]}}, "0"),
+        ],
+    )
+    def test_bad_config_or_option_exits_2(self, runner, synth_dir, tmp_path, config, seeds):
+        args = ["eval", "--benchmark", str(synth_dir), "--methods", "random", "--seeds", seeds,
+                "--out-csv", str(tmp_path / "r.csv"), "--out-json", str(tmp_path / "r.json")]
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            args += ["--config", str(tmp_path / "config.json")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error:") and "Traceback" not in result.output
+        assert not (tmp_path / "r.csv").exists()
 
 
 def reference_build_entries(tasks, pool_path, embeddings, direction, per_task):

@@ -331,6 +331,35 @@ class TestElicitEndToEnd:
         # stops once stagnation exceeds patience.
         assert len(trace_a) == min(cfg.rounds, 1 + cfg.patience + 1)
 
+    def test_validation_prompts_match_golden(self, synth_benchmark):
+        # The scripted policy reads only the first demonstration, so no score
+        # shows where the budget cuts the list; the prompt hashes do. At 300
+        # tokens the cut falls mid-list, after 2 of the 8 training tasks.
+        b = synth_benchmark
+        cfg = ElicitationConfig(rounds=3, patience=3, seed=5, val_fraction=0.3)
+        lines = []
+        for budget, kept in ((3000, 8), (300, 2)):
+            prompts = []
+
+            class RecordingBackend(ScriptedBackend):
+                def complete(self, req):
+                    prompts.append(req.prompt)
+                    return super().complete(req)
+
+            backend = RecordingBackend()
+            pool, discretizers = build_fold_artifacts(b, [t.task_id for t in b.tasks], backend)
+            _, trace = elicit_knowledge(
+                pool, b.space, b, cfg, backend,
+                suggestion_config=SuggestionConfig(token_budget=budget), discretizers=discretizers,
+            )
+            elicitation_prompts = {r.prompt for r in trace}
+            suggestion_prompts = [p for p in prompts if p not in elicitation_prompts]
+            assert len(suggestion_prompts) == 12  # 3 rounds x 4 validation tasks
+            assert all(p.count("Dataset: ") == kept + 1 for p in suggestion_prompts)
+            lines.extend(f"{budget} {prompt_sha256(p)}\n" for p in suggestion_prompts)
+        golden = (GOLDEN / "elicit_validation_prompts.txt").read_text(encoding="utf-8")
+        assert "".join(lines) == golden
+
     def test_empty_pool_rejected(self, synth_benchmark):
         with pytest.raises(ValidationError):
             elicit_knowledge(

@@ -5,6 +5,8 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from expcopilot.bench import build_fold_artifacts
 from expcopilot.elicitation import ElicitationConfig, elicit_knowledge
@@ -17,6 +19,7 @@ from expcopilot.gateway import (
     ScriptedBackend,
     backend_from_config,
     estimate_tokens,
+    max_prompt_chars,
     prompt_sha256,
 )
 from expcopilot.suggestion import SuggestionConfig, build_suggestion_prompt, retrieve_demos, suggest
@@ -30,6 +33,11 @@ class TestEstimateTokens:
 
     def test_configurable_ratio(self):
         assert estimate_tokens("abcdefgh", chars_per_token=2) == 4
+
+    @given(st.integers(0, 5000), st.integers(1, 8), st.integers(0, 1000))
+    def test_max_prompt_chars_is_the_estimate_limit(self, length, chars_per_token, budget):
+        fits = estimate_tokens("x" * length, chars_per_token) <= budget
+        assert fits == (length <= max_prompt_chars(budget, chars_per_token))
 
 
 class TestCompletionRequest:
@@ -146,6 +154,19 @@ class TestReplayBackend:
     def test_missing_cassette_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             ReplayBackend(tmp_path / "nope.jsonl")
+
+    def test_malformed_cassette_line_names_its_position(self, tmp_path):
+        cassette = tmp_path / "cassette.jsonl"
+        good = {"prompt_sha256": prompt_sha256("p"), "request": {"kind": "complete"}, "response": "r"}
+        cassette.write_text(json.dumps(good) + "\n\n{not json\n")
+        with pytest.raises(ConfigError, match=f"{cassette}:3"):
+            ReplayBackend(cassette)
+
+    def test_cassette_line_without_request_names_its_position(self, tmp_path):
+        cassette = tmp_path / "cassette.jsonl"
+        cassette.write_text(json.dumps({"prompt_sha256": prompt_sha256("p"), "response": "r"}) + "\n")
+        with pytest.raises(ConfigError, match=f"{cassette}:1"):
+            ReplayBackend(cassette)
 
 
 class _Handler(BaseHTTPRequestHandler):

@@ -10,7 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["loo-copilot-150", "cli-pool-150"])
+@pytest.mark.parametrize("workload", ["loo-copilot-150", "loo-elicit-flaky-48", "cli-pool-150"])
 def test_traced_run_passes_its_oracle(workload):
     # A traced run wraps the program's functions by name and checks every fold
     # or CLI call against an independent oracle, so a renamed function or a

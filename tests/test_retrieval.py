@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from expcopilot.core import Task
+from expcopilot.core import CanonicalExperience, Task
 from expcopilot.errors import ValidationError
 from expcopilot.retrieval import (
     BOW_DIM,
@@ -61,6 +61,21 @@ class TestCosine:
 def entry(task_id, values):
     task = Task(task_id=task_id, space_id="s", description=f"desc {task_id}")
     return PoolEntry(task=task, embedding=vec(*values), experiences=())
+
+
+class TestPoolEntryBlock:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+    def test_cached_block_is_the_first_n_configurations(self, n):
+        task = Task(task_id="t", space_id="s", description="desc t")
+        texts = ["cost is low.", "cost is medium.", "cost is high."]
+        pool_entry = PoolEntry(
+            task, vec(1.0), [CanonicalExperience("t", "s", text, {}, 0.0) for text in texts]
+        )
+        lines = ["Dataset: desc t", *(f"Configuration {i}: {t}" for i, t in enumerate(texts, 1))]
+        block = pool_entry.block(n)
+        assert block == "\n".join(lines[: n + 1])
+        assert pool_entry.block(n) is block
+        assert pool_entry.block() == "\n".join(lines)
 
 
 class TestRetrieveExperience:

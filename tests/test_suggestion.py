@@ -193,13 +193,15 @@ class TestBuildSuggestionPrompt:
         assert build_suggestion_prompt(space, task, entries, items, cfg) == expected
 
     def test_budget_checks_are_linear_in_kept_demos(self, svm_space, gina_task, monkeypatch):
+        # The budget is fitted by summing block lengths, so the work is one
+        # block lookup per kept demo plus the one that overflows.
         checks = []
 
-        def counting_estimate(text, chars_per_token=4):
-            checks.append(len(text))
-            return estimate_tokens(text, chars_per_token)
+        def counting_block(entry, demos_per_task):
+            checks.append(entry.task.task_id)
+            return _demo_block(entry, demos_per_task)
 
-        monkeypatch.setattr(suggestion_module, "estimate_tokens", counting_estimate)
+        monkeypatch.setattr(suggestion_module, "_demo_block", counting_block)
         entries = [
             text_entry(i, f"dataset {i} " * 5, ["cost is low. gamma is high. kernel is radial."] * 3)
             for i in range(150)
@@ -208,6 +210,12 @@ class TestBuildSuggestionPrompt:
         kept = prompt.count("\n\nDataset: ") - 1
         assert 0 < kept < len(entries)
         assert len(checks) == kept + 1
+
+    def test_zero_chars_per_token_rejected(self, svm_space, online_demo_entries, gina_task):
+        with pytest.raises(ValidationError, match="chars_per_token must be at least 1"):
+            build_suggestion_prompt(
+                svm_space, gina_task, online_demo_entries, [], SuggestionConfig(chars_per_token=0)
+            )
 
     def test_n_suggestions_substituted(self, svm_space, online_demo_entries, gina_task):
         prompt = build_suggestion_prompt(
