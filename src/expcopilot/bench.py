@@ -10,7 +10,8 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, replace
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Collection, Mapping, NamedTuple, Sequence
@@ -18,6 +19,7 @@ from typing import Collection, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .core import (
+    Discretizer,
     ExperienceRecord,
     Solution,
     SolutionSpace,
@@ -318,49 +320,64 @@ def _levels_changed(
     return False
 
 
+@dataclass
+class FoldCache:
+    """The fits and pool entries that the folds of one leave-one-out sweep share."""
+
+    fits: dict[tuple, Discretizer] = field(default_factory=dict)
+    entries: dict[str, tuple[PoolEntry, tuple]] = field(default_factory=dict)
+
+
 def build_fold_artifacts(
     b: Benchmark,
     train_ids: Sequence[str],
     backend,
     records_per_task: int = 3,
-    pool_cache: dict[str, PoolEntry] | None = None,
+    cache: FoldCache | None = None,
 ):
     """Offline artifacts for one leave-one-out fold: pool entries and discretizers.
 
-    Discretizers are refitted on every call, on the union of the best records
-    per training task only, so nothing from a held-out task leaks into
-    canonicalization. `pool_cache` (task id -> PoolEntry) carries entries
-    across the folds of one sweep over `b`: a cached entry is reused when each
-    of its records' numeric values still falls in the same level under this
-    fold's discretizers, since a record's canonical form depends on the
-    discretizers only through those levels. Otherwise the task's records are
-    canonicalized again and the entry replaced, keeping its embedding, so
-    each task is embedded once per cache.
+    Discretizers are fitted on the union of the best records per training task
+    only, so nothing from a held-out task leaks into canonicalization. `cache`
+    carries work across the folds of one sweep over `b`: each distinct multiset
+    of fitting values (-0.0 apart from 0.0) is fitted once. Canonical records
+    depend on the discretizers only through the split signature, (split points,
+    level labels) per parameter, so an entry last built or checked under this
+    fold's signature is reused as is, and under another only if its records'
+    numeric values keep their levels. Otherwise it is rebuilt with its
+    embedding, so each task is embedded once per cache.
     """
+    cache = FoldCache() if cache is None else cache
     top = {tid: b.ranked_rows[tid][:records_per_task] for tid in train_ids}
-    discretizers = {}
-    levels: dict[str, dict[float, str]] = {}
+    discretizers, fitting = {}, {}
     for p in b.space.parameters:
         if p.kind != "numeric":
             continue
-        values = [row.solution.values[p.name] for rows in top.values() for row in rows]
-        d = discretizers[p.name] = fit_discretizer(values, p)
-        levels[p.name] = {x: d.discretize(x) for x in set(values)}
-    cache = {} if pool_cache is None else pool_cache
+        values = fitting[p.name] = [row.solution.values[p.name] for rows in top.values() for row in rows]
+        ordered = tuple(sorted(values))
+        zeros = ordered[bisect_left(ordered, 0.0):bisect_right(ordered, 0.0)]
+        key = p.name, ordered, sum(math.copysign(1.0, z) < 0 for z in zeros)
+        discretizers[p.name] = cache.fits[key] = cache.fits.get(key) or fit_discretizer(values, p)
+    signature = tuple((d.split_points, d.level_labels) for d in discretizers.values())
+    levels = None
     entries = []
     for tid in train_ids:
         rows = top[tid]
-        entry = cache.get(tid)
-        if entry is None or _levels_changed(entry, rows, levels):
-            task = b.task(tid)
-            entry = cache[tid] = PoolEntry(
-                task=task,
-                embedding=backend.embed(task.description) if entry is None else entry.embedding,
-                experiences=[
-                    canonicalize(ExperienceRecord(task, row.solution, row.metric), b.space, discretizers)
-                    for row in rows
-                ],
-            )
+        entry, checked = cache.entries.get(tid, (None, None))
+        if checked != signature:
+            if entry is not None and levels is None:
+                levels = {n: {x: discretizers[n].discretize(x) for x in set(v)} for n, v in fitting.items()}
+            if entry is None or _levels_changed(entry, rows, levels):
+                task = b.task(tid)
+                entry = PoolEntry(
+                    task=task,
+                    embedding=backend.embed(task.description) if entry is None else entry.embedding,
+                    experiences=[
+                        canonicalize(ExperienceRecord(task, row.solution, row.metric), b.space, discretizers)
+                        for row in rows
+                    ],
+                )
+            cache.entries[tid] = entry, signature
         entries.append(entry)
     return entries, discretizers
 
@@ -435,12 +452,10 @@ def _copilot_solutions(
     seed: int,
     cfg: EvalConfig,
     backend,
-    pool_cache: dict[str, PoolEntry],
+    cache: FoldCache,
     prompt_sink: list | None,
 ) -> list[Solution]:
-    pool, discretizers = build_fold_artifacts(
-        b, train_ids, backend, cfg.records_per_task, pool_cache
-    )
+    pool, discretizers = build_fold_artifacts(b, train_ids, backend, cfg.records_per_task, cache)
     twins = [b.task(tid) for tid in b.twins.get(task.task_id, ())]
     sug_cfg = replace(cfg.suggestion, task_kind=b.task_kind)
     knowledge = []
@@ -478,9 +493,10 @@ def run_loo_eval(
     """Leave-one-out sweep: hold each task out, suggest for it, score metric@{1,2,3}.
 
     Offline artifacts come from the remaining tasks only; twins of the
-    held-out task are excluded as well. Discretizers are refitted every fold,
-    while each task's pool entry is built once per sweep and rebuilt only in
-    folds where its records' levels change (see `build_fold_artifacts`). A
+    held-out task are excluded as well. One `FoldCache` serves the sweep: each
+    distinct fitting multiset is fitted once, and each task's pool entry is
+    rebuilt only when the split points move its records' levels (see
+    `build_fold_artifacts`). A
     method failure on a task is recorded as the worst score and flagged
     instead of aborting the sweep.
     """
@@ -496,7 +512,7 @@ def run_loo_eval(
         raise ConfigError("evaluation scores metric@{1,2,3}; configure n_suggestions >= 3")
 
     rows: list[EvalRow] = []
-    pool_cache: dict[str, PoolEntry] = {}
+    cache = FoldCache()
     for seed in seeds:
         for task in b.tasks:
             held = {task.task_id} | set(b.twins.get(task.task_id, ()))
@@ -515,7 +531,7 @@ def run_loo_eval(
                     solutions = baseline_nearest_task(b, train_tasks, task, n)
                 else:
                     solutions = _copilot_solutions(
-                        b, task, train_ids, held, seed, cfg, backend, pool_cache, prompt_sink
+                        b, task, train_ids, held, seed, cfg, backend, cache, prompt_sink
                     )
                 metrics = [evaluate_solution(b, task.task_id, s) for s in solutions]
                 mts = tuple(metric_at_t(metrics, t, b.direction) for t in (1, 2, 3))

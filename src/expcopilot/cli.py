@@ -39,7 +39,7 @@ def load_config(path: str | None) -> AppConfig:
     if path:
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"invalid config {path}: expected a JSON object")
@@ -215,10 +215,13 @@ def cmd_eval(cfg: AppConfig, benchmark_dir, methods, seeds, out_csv, out_json) -
     """Run the leave-one-out sweep for each method and write CSV + JSON reports."""
     benchmark = bench.load_benchmark(benchmark_dir)
     backend = backend_from_config(cfg.backend)
+    use_knowledge = cfg.eval.get("use_knowledge", False)
+    if not isinstance(use_knowledge, bool):
+        raise ConfigError(f"eval.use_knowledge must be true or false, got {use_knowledge!r}")
     eval_cfg = bench.EvalConfig(
         suggestion=cfg.suggestion,
         elicitation=cfg.elicitation,
-        use_knowledge=bool(cfg.eval.get("use_knowledge", False)),
+        use_knowledge=use_knowledge,
     )
     for out in (out_csv, out_json):
         if Path(out).is_dir():

@@ -290,6 +290,8 @@ def fit_discretizer(values: Iterable[float], param: ParameterDef, n_levels: int 
     lo, hi = param.numeric_range
     if not np.all(np.isfinite(vals)) or vals.min() < lo or vals.max() > hi:
         raise ValidationError(f"fitting values outside the range of parameter '{param.name}'")
+    # -0.0 first (they compare equal), so the fit depends only on the multiset of values.
+    vals = np.asarray(sorted(vals.tolist(), key=lambda v: (v, math.copysign(1.0, v))))
 
     work = np.log10(vals) if param.log_scale else vals
     probs = [i / n_levels for i in range(1, n_levels)]

@@ -29,7 +29,8 @@ API_KEY_ENV = "EXPCOPILOT_API_KEY"
 
 ELICITATION_MARKER = "what patterns can we observe"
 
-_CONFIG_LINE = re.compile(r"^\s*configuration\s+\d+\s*:\s*(?P<body>.*\S)\s*$", re.IGNORECASE)
+# A "Configuration i: ..." line of a model response; the body may be blank.
+CONFIG_LINE = re.compile(r"^\s*configuration\s+\d+\s*:\s*(?P<body>.*)$", re.IGNORECASE)
 
 
 def estimate_tokens(text: str, chars_per_token: int = 4) -> int:
@@ -110,9 +111,10 @@ class NearestNeighborPolicy:
                     break
                 in_block = True
                 continue
-            m = _CONFIG_LINE.match(line)
-            if in_block and m:
-                configs.append(m.group("body"))
+            m = CONFIG_LINE.match(line)
+            body = m.group("body").strip() if m else ""
+            if in_block and body:
+                configs.append(body)
             elif configs:
                 break
         return configs
@@ -315,9 +317,12 @@ def backend_from_config(cfg: dict) -> ScriptedBackend | ReplayBackend | HttpBack
 
     def number(key: str, default, cast=int):
         try:
-            return cast(cfg.get(key, default))
+            value = cast(cfg.get(key, default))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"backend {key} must be a number, got {cfg[key]!r}") from exc
+        if not value > 0:
+            raise ConfigError(f"backend {key} must be positive, got {cfg[key]!r}")
+        return value
 
     kind = cfg.get("kind")
     if kind == "scripted":

@@ -56,20 +56,24 @@ _decode = json.JSONDecoder().raw_decode
 
 def read_jsonl(path: str | Path) -> list[dict]:
     """The JSON value of each non-blank line, stripped: the values and errors of `json.loads`
-    without its whitespace scans. A malformed line raises ValidationError naming `path:lineno`."""
+    without its whitespace scans. A malformed line raises ValidationError naming `path:lineno`,
+    and a file that is not UTF-8 one naming `path`."""
     out = []
     with _open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                value, end = _decode(line)
-                if end != len(line):
-                    raise json.JSONDecodeError("Extra data", line, end)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
-            out.append(value)
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    value, end = _decode(line)
+                    if end != len(line):
+                        raise json.JSONDecodeError("Extra data", line, end)
+                except json.JSONDecodeError as exc:
+                    raise ValidationError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
+                out.append(value)
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
     return out
 
 

@@ -8,16 +8,13 @@ is malformed.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Callable, Collection, Mapping, Sequence
 
 from .core import Discretizer, Solution, SolutionSpace, Task
 from .errors import ParseError, ValidationError
-from .gateway import CompletionRequest, estimate_tokens, max_prompt_chars
+from .gateway import CONFIG_LINE, CompletionRequest, estimate_tokens, max_prompt_chars
 from .retrieval import KnowledgeItem, PoolEntry, retrieve_experience, retrieve_knowledge
-
-_CONFIG_LINE = re.compile(r"^\s*configuration\s+\d+\s*:\s*(?P<body>.*)$", re.IGNORECASE)
 
 FILL_BUDGET = "fill-budget"
 
@@ -142,7 +139,7 @@ def parse_solutions(
     problems: list[str] = []
     configs: list[dict[str, str]] = []
     for line in response.splitlines():
-        m = _CONFIG_LINE.match(line)
+        m = CONFIG_LINE.match(line)
         if not m:
             continue
         body = m.group("body").strip()

@@ -4,14 +4,17 @@ import itertools
 import json
 import math
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import synth
+from expcopilot import bench
 from expcopilot.bench import (
     Benchmark,
+    FoldCache,
     Row,
     baseline_constant,
     baseline_nearest_task,
@@ -529,16 +532,23 @@ def reference_fold_artifacts(b, train_ids, backend, records_per_task):
 
 CONTINUOUS_SPACE = SolutionSpace(
     "cont",
-    "a space with two continuous parameters.",
+    "a space with three continuous parameters.",
     (
         ParameterDef("depth", "numeric", numeric_range=(1.0, 9.0)),
         ParameterDef("rate", "numeric", numeric_range=(1e-4, 1.0), log_scale=True),
+        ParameterDef("shift", "numeric", numeric_range=(-1.0, 1.0)),
         ParameterDef("booster", "categorical", choices=("tree", "dart")),
     ),
 )
 
+# Signed zeros are frequent so that fitting multisets differing only in the sign
+# of a zero turn up.
 _CONTINUOUS_ROW = st.tuples(
-    st.floats(1.0, 9.0), st.floats(1e-4, 1.0), st.sampled_from(("tree", "dart")), st.floats(0.0, 1.0)
+    st.floats(1.0, 9.0),
+    st.floats(1e-4, 1.0),
+    st.sampled_from((-0.0, 0.0, 0.5)) | st.floats(-1.0, 1.0),
+    st.sampled_from(("tree", "dart")),
+    st.floats(0.0, 1.0),
 )
 
 
@@ -548,8 +558,8 @@ def continuous_benchmark(task_rows):
     rows = {}
     for task, drawn in zip(tasks, task_rows):
         solutions = [
-            (Solution(CONTINUOUS_SPACE, {"depth": d, "rate": r, "booster": bo}), m)
-            for d, r, bo, m in drawn
+            (Solution(CONTINUOUS_SPACE, {"depth": d, "rate": r, "shift": sh, "booster": bo}), m)
+            for d, r, sh, bo, m in drawn
         ]
         rows[task.task_id] = tuple(Row(solution_key(CONTINUOUS_SPACE, s), s, m) for s, m in solutions)
     return Benchmark(
@@ -564,23 +574,75 @@ def continuous_benchmark(task_rows):
     )
 
 
+def fitting_multisets(b, train_ids, records_per_task):
+    """(parameter, fitting multiset) of each numeric parameter in one fold, the
+    multiset as sorted `float.hex` strings, which tell -0.0 from 0.0."""
+    top = [row for tid in train_ids for row in b.ranked_rows[tid][:records_per_task]]
+    return {
+        (p.name, tuple(sorted(float.hex(row.solution.values[p.name]) for row in top)))
+        for p in b.space.parameters
+        if p.kind == "numeric"
+    }
+
+
+def flip_zero(x):
+    return -x if x == 0.0 else x
+
+
 class TestFoldArtifacts:
     @given(
         data=st.data(),
-        task_rows=st.lists(st.lists(_CONTINUOUS_ROW, min_size=1, max_size=5), min_size=2, max_size=7),
+        task_rows=st.lists(st.lists(_CONTINUOUS_ROW, min_size=1, max_size=5), min_size=2, max_size=6),
         records_per_task=st.integers(1, 3),
     )
     @settings(max_examples=300, deadline=None)
     def test_cached_pool_equals_a_fresh_build(self, data, task_rows, records_per_task):
+        # Copies of tasks, some with the sign of their zero shifts flipped, and
+        # training sets with tasks swapped for their copies give different
+        # training sets with equal fitting multisets, or multisets that differ
+        # only in the sign of a zero.
+        n = len(task_rows)
+        copies = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.booleans()), max_size=3))
+        task_rows = task_rows + [
+            [(d, r, flip_zero(sh) if flip else sh, bo, m) for d, r, sh, bo, m in task_rows[i]]
+            for i, flip in copies
+        ]
+        copy_of = {f"c-{i}": f"c-{n + k}" for k, (i, _) in enumerate(copies)}
         b = continuous_benchmark(task_rows)
         ids = [t.task_id for t in b.tasks]
-        subsets = st.lists(st.sampled_from(ids), min_size=1, unique=True)
-        folds = data.draw(st.lists(subsets, min_size=1, max_size=8))
-        backend, cache = ScriptedBackend(), {}
-        for train_ids in folds:
-            got = build_fold_artifacts(b, train_ids, backend, records_per_task, cache)
-            assert got == reference_fold_artifacts(b, train_ids, ScriptedBackend(), records_per_task)
+        subsets = data.draw(
+            st.lists(st.lists(st.sampled_from(ids), min_size=1, unique=True), min_size=1, max_size=4)
+        )
+        swapped = [list(dict.fromkeys(copy_of.get(tid, tid) for tid in s)) for s in subsets]
+        folds = data.draw(st.lists(st.sampled_from(subsets + swapped), min_size=1, max_size=8))
+        backend, cache = ScriptedBackend(), FoldCache()
+        with mock.patch.object(bench, "fit_discretizer", wraps=fit_discretizer) as fit:
+            for train_ids in folds:
+                got = build_fold_artifacts(b, train_ids, backend, records_per_task, cache)
+                want = reference_fold_artifacts(b, train_ids, ScriptedBackend(), records_per_task)
+                # repr tells -0.0 from 0.0, which == does not.
+                assert got == want and repr(got) == repr(want)
         assert backend.embed_calls == len({tid for train_ids in folds for tid in train_ids})
+        distinct = set().union(*(fitting_multisets(b, fold, records_per_task) for fold in folds))
+        assert fit.call_count == len(distinct)
+
+    @pytest.mark.parametrize("bundle", ["synth_dir", "continuous_dir"])
+    def test_loo_sweep_fits_each_distinct_multiset_once(self, bundle, request, monkeypatch):
+        b = load_benchmark(request.getfixturevalue(bundle))
+        fitted = Counter()
+
+        def counting_fit(values, p):
+            fitted[p.name, tuple(sorted(map(float.hex, values)))] += 1
+            return fit_discretizer(values, p)
+
+        monkeypatch.setattr(bench, "fit_discretizer", counting_fit)
+        report = run_loo_eval(b, "copilot", [0, 1], backend=ScriptedBackend())
+        assert not any(row.failed for row in report.rows)
+        distinct = set()
+        for task in b.tasks:
+            held = {task.task_id, *b.twins.get(task.task_id, ())}
+            distinct |= fitting_multisets(b, [t.task_id for t in b.tasks if t.task_id not in held], 3)
+        assert fitted == Counter(dict.fromkeys(distinct, 1))
 
     def test_loo_sweep_embeds_each_task_once(self, continuous_dir):
         # Split points move between the folds of this bundle, so entries are

@@ -386,6 +386,17 @@ class TestSuggest:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert f"{file_name}:{lineno}: malformed record" in result.stderr
 
+    def test_pool_file_that_is_not_utf8_exits_2(self, runner, ingest_inputs, new_task_file, tmp_path):
+        pool = run_ingest(runner, ingest_inputs, tmp_path / "pool")
+        with (pool / "pool.jsonl").open("ab") as fh:
+            fh.write(b'{"task_id": "caf\xe9"}\n')
+        result = runner.invoke(
+            main, ["suggest", "--task-file", str(new_task_file), "--pool", str(pool)]
+        )
+        assert result.exit_code == 2, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "pool.jsonl: not UTF-8" in result.stderr
+
     @pytest.mark.parametrize(
         "name, direction, demos_per_task",
         [
@@ -623,6 +634,9 @@ class TestEval:
                           "embed_model": "e", "max_attempts": "many"}}, "0"),
             ({"backend": {"kind": "http", "endpoint": "http://localhost:9", "model": "m",
                           "embed_model": "e", "max_in_flight": [4]}}, "0"),
+            ({"backend": {"kind": "scripted", "embed_dim": 0}}, "0"),
+            ({"eval": {"use_knowledge": "no"}}, "0"),
+            ({"eval": {"use_knowledge": 1}}, "0"),
         ],
     )
     def test_bad_config_or_option_exits_2(self, runner, synth_dir, tmp_path, config, seeds):
@@ -636,6 +650,18 @@ class TestEval:
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("error:") and "Traceback" not in result.output
         assert not (tmp_path / "r.csv").exists()
+
+
+    def test_config_file_that_is_not_utf8_exits_2(self, runner, synth_dir, tmp_path):
+        (tmp_path / "config.json").write_bytes(b'{"seed": "\xff"}')
+        result = runner.invoke(main, [
+            "eval", "--benchmark", str(synth_dir), "--methods", "random", "--seeds", "0",
+            "--out-csv", str(tmp_path / "r.csv"), "--out-json", str(tmp_path / "r.json"),
+            "--config", str(tmp_path / "config.json"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: cannot read config")
 
 
 def reference_build_entries(tasks, pool_path, embeddings, direction, per_task):

@@ -159,6 +159,19 @@ class TestFitDiscretizer:
             if members.size:
                 assert repr(d.representatives[label]) == repr(float(np.median(members)))
 
+    @given(
+        values=st.lists(st.sampled_from((-0.0, 0.0, -0.5, 0.5, 1.0)), min_size=1, max_size=12),
+        rnd=st.randoms(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_fit_depends_only_on_the_multiset(self, values, rnd):
+        # Permutations differ only in where -0.0 and 0.0 (equal under ==) sit;
+        # repr shows the sign of a zero split point or representative.
+        shuffled = list(values)
+        rnd.shuffle(shuffled)
+        param = linear_param(-1.0, 1.0)
+        assert repr(fit_discretizer(shuffled, param)) == repr(fit_discretizer(values, param))
+
     def test_partial_collapse_uses_centered_labels(self):
         # Quantiles land on 1 (dropped: equals the minimum), 2, 2.4, and 3.
         values = [1, 1, 1, 2, 2, 2, 3, 3, 3, 10]

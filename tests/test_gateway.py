@@ -12,6 +12,7 @@ from expcopilot.bench import build_fold_artifacts
 from expcopilot.elicitation import ElicitationConfig, elicit_knowledge
 from expcopilot.errors import ConfigError, GatewayError, ValidationError
 from expcopilot.gateway import (
+    API_KEY_ENV,
     CompletionRequest,
     HttpBackend,
     NearestNeighborPolicy,
@@ -374,3 +375,23 @@ class TestBackendFactory:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             backend_from_config({"kind": "telepathy"})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("max_in_flight", -1), ("max_in_flight", 0), ("max_attempts", 0), ("timeout", -5),
+         ("timeout", 0), ("timeout", "nan"), ("embed_dim", 0)],
+    )
+    def test_numbers_must_be_positive(self, monkeypatch, key, value):
+        # With a key set, the http backend would otherwise be built.
+        monkeypatch.setenv(API_KEY_ENV, "test-key")
+        kind = "scripted" if key == "embed_dim" else "http"
+        cfg = {"kind": kind, "endpoint": "http://localhost:9", "model": "m", "embed_model": "e", key: value}
+        with pytest.raises(ConfigError, match=f"backend {key} must be positive"):
+            backend_from_config(cfg)
+
+    def test_smallest_valid_numbers_accepted(self, monkeypatch):
+        monkeypatch.setenv(API_KEY_ENV, "test-key")
+        backend = backend_from_config({"kind": "http", "endpoint": "http://localhost:9", "model": "m",
+                                       "embed_model": "e", "max_in_flight": 1, "max_attempts": 1,
+                                       "timeout": 0.5})
+        assert (backend.max_attempts, backend.timeout) == (1, 0.5)

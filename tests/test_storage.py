@@ -59,3 +59,10 @@ def test_read_jsonl_decodes_like_json_loads(tmp_path_factory, lines):
         return
     # Compared as JSON text, so NaN equals NaN and 1 differs from 1.0.
     assert json.dumps(read_jsonl(path)) == json.dumps(expected)
+
+
+def test_read_jsonl_of_a_file_that_is_not_utf8_names_it(tmp_path):
+    path = tmp_path / "latin1.jsonl"
+    path.write_bytes('{"name": "café"}\n'.encode("latin-1"))
+    with pytest.raises(ValidationError, match="latin1.jsonl: not UTF-8"):
+        read_jsonl(path)

@@ -19,7 +19,7 @@ from expcopilot.core import (
     verbalize_solution,
 )
 from expcopilot.errors import ParseError, ValidationError
-from expcopilot.gateway import ScriptedBackend, estimate_tokens
+from expcopilot.gateway import NearestNeighborPolicy, ScriptedBackend, estimate_tokens
 from expcopilot.retrieval import EmbeddingVector, KnowledgeItem, PoolEntry
 from expcopilot.suggestion import (
     FILL_BUDGET,
@@ -273,6 +273,42 @@ class TestParseSolutions:
             }
             response = "Configuration 1: " + verbalize_solution(discrete, svm_space)
             assert parse_solutions(response, svm_space, 1) == [discrete]
+
+
+LINEAR = "Configuration 2: kernel is linear."
+
+
+class TestConfigLine:
+    """The parser and the scripted policy share one "Configuration i:" pattern. Both
+    strip the body; a blank body is an empty configuration to the parser and no
+    configuration to the policy."""
+
+    @pytest.mark.parametrize(
+        "line, parsed, echoed",
+        [
+            ("Configuration 1: cost is medium. kernel is radial.  \t",
+             {"cost": "medium", "kernel": "radial"}, "cost is medium. kernel is radial."),
+            ("  configuration 3 :  cost is small. ", {"cost": "low"}, "cost is small."),
+            ("Configuration 1: cost is large.\xa0", {"cost": "high"}, "cost is large."),
+            ("Configuration 1:", None, None),
+            ("Configuration 1:   \t", None, None),
+        ],
+    )
+    def test_parser_and_policy_read_lines_as_before(self, svm_space, line, parsed, echoed):
+        response = f"{line}\n{LINEAR}"
+        if parsed is None:
+            with pytest.raises(ParseError, match="empty configuration line: 'Configuration 1:'"):
+                parse_solutions(response, svm_space, 3)
+        else:
+            assert parse_solutions(response, svm_space, 3) == [parsed, {"kernel": "linear"}]
+
+        def echo(block, bodies):
+            got = NearestNeighborPolicy()(f"desc\n\nDataset: d\n{block}\n\nDataset: q\n", 0.0)
+            bodies = [b for b in bodies if b]
+            return got == "\n".join(f"Configuration {i}: {b}" for i, b in enumerate(bodies, start=1))
+
+        assert echo(f"{line}\n{LINEAR}", [echoed, "kernel is linear."])
+        assert echo(f"Configuration 1: kernel is linear.\n{line}", ["kernel is linear.", echoed])
 
 
 class TestConcretize:
