@@ -10,9 +10,9 @@ from __future__ import annotations
 import json
 import math
 import random
-from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Collection, Mapping, NamedTuple, Sequence
 
@@ -308,24 +308,26 @@ def baseline_nearest_task(
     return out
 
 
-def _levels_changed(
-    entry: PoolEntry, rows: Sequence[Row], levels: Mapping[str, Mapping[float, str]]
-) -> bool:
+def _levels_changed(entry: PoolEntry, rows: Sequence[Row], discretizers: Mapping[str, Discretizer]) -> bool:
     """Whether any numeric value of `rows` has a level other than the one in `entry`."""
     for exp, row in zip(entry.experiences, rows):
         discrete, values = exp.discrete_solution, row.solution.values
-        for name, level in levels.items():
-            if discrete[name] != level[values[name]]:
+        for name, d in discretizers.items():
+            if discrete[name] != d.discretize(values[name]):
                 return True
     return False
 
 
 @dataclass
 class FoldCache:
-    """The fits and pool entries that the folds of one leave-one-out sweep share."""
+    """The fits and pool entries that the folds of one leave-one-out sweep share.
+
+    A cache serves the benchmark and `records_per_task` of its first fold only.
+    """
 
     fits: dict[tuple, Discretizer] = field(default_factory=dict)
     entries: dict[str, tuple[PoolEntry, tuple]] = field(default_factory=dict)
+    bound: tuple | None = None
 
 
 def build_fold_artifacts(
@@ -338,36 +340,47 @@ def build_fold_artifacts(
     """Offline artifacts for one leave-one-out fold: pool entries and discretizers.
 
     Discretizers are fitted on the union of the best records per training task
-    only, so nothing from a held-out task leaks into canonicalization. `cache`
-    carries work across the folds of one sweep over `b`: each distinct multiset
-    of fitting values (-0.0 apart from 0.0) is fitted once. Canonical records
-    depend on the discretizers only through the split signature, (split points,
-    level labels) per parameter, so an entry last built or checked under this
-    fold's signature is reused as is, and under another only if its records'
-    numeric values keep their levels. Otherwise it is rebuilt with its
-    embedding, so each task is embedded once per cache.
+    only, so nothing from a held-out task leaks into canonicalization; the
+    training ids must be distinct tasks of `b`. `cache` carries work across the
+    folds of one sweep over `b`: each distinct multiset of fitting values
+    (-0.0 apart from 0.0) is fitted once. With `b` and `records_per_task`
+    fixed, the rows a fold leaves out fix its fitting multiset, so the memo is
+    keyed by the held-out values (as `float.hex`) and the training values are
+    gathered only for a new fit. Canonical records depend on the discretizers
+    only through the split signature, (split points, level labels) per
+    parameter, so an entry last built or checked under this fold's signature
+    is reused as is, and under another only if its records' numeric values
+    keep their levels. Otherwise it is rebuilt with its embedding, so each task
+    is embedded once per cache.
     """
     cache = FoldCache() if cache is None else cache
-    top = {tid: b.ranked_rows[tid][:records_per_task] for tid in train_ids}
-    discretizers, fitting = {}, {}
+    cache.bound = cache.bound or (b, records_per_task)
+    if cache.bound[0] is not b or cache.bound[1] != records_per_task:
+        raise ValidationError("a FoldCache serves one benchmark and one records_per_task")
+    train = set(train_ids)
+    held = [t.task_id for t in b.tasks if t.task_id not in train]
+    if len(held) + len(train_ids) != len(b.tasks):
+        bad = [tid for tid, n in Counter(train_ids).items() if n > 1 or tid not in b._tasks_by_id]
+        raise ValidationError(f"train ids must be distinct tasks of benchmark '{b.name}': {bad}")
+
+    def top(ids: Sequence[str]) -> list[Row]:
+        return [row for tid in ids for row in b.ranked_rows[tid][:records_per_task]]
+
+    held_rows, discretizers = top(held), {}
     for p in b.space.parameters:
         if p.kind != "numeric":
             continue
-        values = fitting[p.name] = [row.solution.values[p.name] for rows in top.values() for row in rows]
-        ordered = tuple(sorted(values))
-        zeros = ordered[bisect_left(ordered, 0.0):bisect_right(ordered, 0.0)]
-        key = p.name, ordered, sum(math.copysign(1.0, z) < 0 for z in zeros)
-        discretizers[p.name] = cache.fits[key] = cache.fits.get(key) or fit_discretizer(values, p)
+        key = p.name, records_per_task, tuple(sorted(float.hex(r.solution.values[p.name]) for r in held_rows))
+        if key not in cache.fits:
+            cache.fits[key] = fit_discretizer([r.solution.values[p.name] for r in top(train_ids)], p)
+        discretizers[p.name] = cache.fits[key]
     signature = tuple((d.split_points, d.level_labels) for d in discretizers.values())
-    levels = None
     entries = []
     for tid in train_ids:
-        rows = top[tid]
         entry, checked = cache.entries.get(tid, (None, None))
         if checked != signature:
-            if entry is not None and levels is None:
-                levels = {n: {x: discretizers[n].discretize(x) for x in set(v)} for n, v in fitting.items()}
-            if entry is None or _levels_changed(entry, rows, levels):
+            rows = b.ranked_rows[tid][:records_per_task]
+            if entry is None or _levels_changed(entry, rows, discretizers):
                 task = b.task(tid)
                 entry = PoolEntry(
                     task=task,
@@ -482,6 +495,17 @@ def _copilot_solutions(
     return result.solutions
 
 
+class _EmbedOnce:
+    """`backend` with `embed` memoized by text; a failed embedding is not cached."""
+
+    def __init__(self, backend):
+        self._backend = backend
+        self.embed = lru_cache(maxsize=None)(backend.embed)
+
+    def __getattr__(self, name):
+        return getattr(self._backend, name)
+
+
 def run_loo_eval(
     b: Benchmark,
     method: str,
@@ -496,8 +520,11 @@ def run_loo_eval(
     held-out task are excluded as well. One `FoldCache` serves the sweep: each
     distinct fitting multiset is fitted once, and each task's pool entry is
     rebuilt only when the split points move its records' levels (see
-    `build_fold_artifacts`). A
-    method failure on a task is recorded as the worst score and flagged
+    `build_fold_artifacts`). The backend's `embed` is memoized by text for the
+    sweep, so each description is embedded once: the held-out queries and
+    elicitation's validation queries reuse the pool's vectors, and an
+    embedding that failed is asked for again by the next fold that needs it.
+    A method failure on a task is recorded as the worst score and flagged
     instead of aborting the sweep.
     """
     cfg = cfg or EvalConfig()
@@ -511,6 +538,8 @@ def run_loo_eval(
     if n < 3:
         raise ConfigError("evaluation scores metric@{1,2,3}; configure n_suggestions >= 3")
 
+    if backend is not None:
+        backend = _EmbedOnce(backend)
     rows: list[EvalRow] = []
     cache = FoldCache()
     for seed in seeds:

@@ -162,19 +162,23 @@ class ReplayBackend:
             raise ConfigError(f"replay cassette not found: {path}")
         self._responses: dict[tuple[str, str], deque] = {}
         with path.open(encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                    request, sha, response = entry["request"], entry["prompt_sha256"], entry["response"]
-                    kind = request.get("kind", "complete")
-                    if kind == "embed":
-                        response = (response, request.get("model", "replay"))
-                except (ValueError, KeyError, TypeError, AttributeError) as exc:
-                    raise ConfigError(f"{path}:{line_no}: malformed cassette entry ({exc!r})") from exc
-                self._responses.setdefault((kind, sha), deque()).append(response)
+            try:
+                lines = list(fh)
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{path}: replay cassette is not UTF-8 text ({exc})") from exc
+        for line_no, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                entry = json.loads(line)
+                request, sha, response = entry["request"], entry["prompt_sha256"], entry["response"]
+                kind = request.get("kind", "complete")
+                if kind == "embed":
+                    response = (response, request.get("model", "replay"))
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise ConfigError(f"{path}:{line_no}: malformed cassette entry ({exc!r})") from exc
+            self._responses.setdefault((kind, sha), deque()).append(response)
 
     def _next(self, kind: str, sha: str):
         queue = self._responses.get((kind, sha))

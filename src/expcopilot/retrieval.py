@@ -105,17 +105,26 @@ def retrieve_experience(
     """The k pool tasks most similar to the query, descending; ties by task_id.
 
     `exclude` holds task ids that must not be retrieved (e.g. the evaluation
-    task itself during leave-one-out).
+    task itself during leave-one-out). The pool is scored by one `np.vecdot`,
+    which runs the per-pair dot kernel of `np.dot`, so every similarity equals
+    `cosine_similarity` bit for bit. An entry with another model tag or
+    length, or a zero vector, raises the error `cosine_similarity` gives it.
     """
     if k < 1:
         raise ValidationError("k must be at least 1")
     excluded = set(exclude)
-    scored = [
-        (entry, cosine_similarity(query, entry.embedding))
-        for entry in pool
-        if entry.task.task_id not in excluded
-    ]
-    scored.sort(key=lambda item: (-item[1], item[0].task.task_id))
+    entries = [entry for entry in pool if entry.task.task_id not in excluded]
+    if not entries:
+        return []
+    vectors = [entry.embedding for entry in entries]
+    norms = np.array([v.norm for v in vectors])
+    shapes = {(v.model_tag, len(v.values)) for v in vectors}
+    if shapes != {(query.model_tag, len(query.values))} or not (query.norm and norms.all()):
+        for v in vectors:
+            cosine_similarity(query, v)
+    matrix = np.concatenate([v.array for v in vectors]).reshape(len(vectors), -1)
+    sims = (np.vecdot(matrix, query.array) / (query.norm * norms)).tolist()
+    scored = sorted(zip(entries, sims), key=lambda item: (-item[1], item[0].task.task_id))
     return scored[:k]
 
 

@@ -39,7 +39,7 @@ from expcopilot.core import (
     fit_discretizer,
     solution_key,
 )
-from expcopilot.errors import BenchmarkError, ConfigError, ValidationError
+from expcopilot.errors import BenchmarkError, ConfigError, GatewayError, ValidationError
 from expcopilot.gateway import ScriptedBackend
 from expcopilot.retrieval import PoolEntry
 
@@ -644,6 +644,26 @@ class TestFoldArtifacts:
             distinct |= fitting_multisets(b, [t.task_id for t in b.tasks if t.task_id not in held], 3)
         assert fitted == Counter(dict.fromkeys(distinct, 1))
 
+    def test_cache_serves_one_benchmark_and_records_per_task(self, synth_benchmark, synth_dir):
+        ids = [t.task_id for t in synth_benchmark.tasks]
+        cache = FoldCache()
+        build_fold_artifacts(synth_benchmark, ids[1:], ScriptedBackend(), 3, cache)
+        with pytest.raises(ValidationError, match="records_per_task"):
+            build_fold_artifacts(synth_benchmark, ids[2:], ScriptedBackend(), 1, cache)
+        with pytest.raises(ValidationError, match="one benchmark"):
+            build_fold_artifacts(load_benchmark(synth_dir), ids[2:], ScriptedBackend(), 3, cache)
+        entries, _ = build_fold_artifacts(synth_benchmark, ids[2:], ScriptedBackend(), 3, cache)
+        assert all(len(e.experiences) == 3 for e in entries)
+
+    @pytest.mark.parametrize(
+        "train_ids, bad",
+        [(["synth-01", "nope"], "nope"), (["synth-01", "synth-02", "synth-01"], "synth-01")],
+        ids=["unknown", "repeated"],
+    )
+    def test_train_ids_must_be_distinct_tasks(self, synth_benchmark, train_ids, bad):
+        with pytest.raises(ValidationError, match=f"distinct tasks.*'{bad}'"):
+            build_fold_artifacts(synth_benchmark, train_ids, ScriptedBackend())
+
     def test_loo_sweep_embeds_each_task_once(self, continuous_dir):
         # Split points move between the folds of this bundle, so entries are
         # rebuilt; a rebuild keeps the task's embedding.
@@ -655,12 +675,32 @@ class TestFoldArtifacts:
                 embedded[text] += 1
                 return super().embed(text)
 
-        seeds = [0, 1, 2]
-        report = run_loo_eval(b, "copilot", seeds, backend=CountingBackend())
-        assert not any(row.failed for row in report.rows)
-        # One pool embedding per task for the whole sweep, plus one query
-        # embedding for each fold that holds the task out.
-        assert embedded == Counter({t.description: 1 + len(seeds) for t in b.tasks})
+        for use_knowledge in (False, True):
+            embedded.clear()
+            cfg = bench.EvalConfig(use_knowledge=use_knowledge)
+            report = run_loo_eval(b, "copilot", [0, 1, 2], cfg, backend=CountingBackend())
+            assert not any(row.failed for row in report.rows)
+            # One embedding per description for the whole sweep: the held-out
+            # queries and elicitation's validation queries reuse the pool's.
+            assert embedded == Counter({t.description: 1 for t in b.tasks})
+
+    def test_loo_sweep_retries_a_failed_embedding(self, synth_benchmark):
+        flaky = synth_benchmark.tasks[0].description
+        failures = Counter()
+
+        class FailingOnceBackend(ScriptedBackend):
+            def embed(self, text):
+                if text == flaky and not failures[text]:
+                    failures[text] += 1
+                    raise GatewayError("transient")
+                return super().embed(text)
+
+        backend = FailingOnceBackend()
+        report = run_loo_eval(synth_benchmark, "copilot", [0], backend=backend)
+        # The first fold fails on its query embedding. The failure is not
+        # cached: the next fold asks again for its pool and gets the vector.
+        assert [row.task_id for row in report.rows if row.failed] == [synth_benchmark.tasks[0].task_id]
+        assert backend.embed_calls == len(synth_benchmark.tasks)
 
 
 class TestRunLooEval:

@@ -301,6 +301,24 @@ class TestSuggest:
         assert result.exit_code == 3
         assert "replay miss" in result.stderr
 
+    def test_replay_cassette_that_is_not_utf8_exits_2(self, runner, ingest_inputs, new_task_file, tmp_path):
+        pool = run_ingest(runner, ingest_inputs, tmp_path / "pool")
+        cassette = tmp_path / "cassette.jsonl"
+        cassette.write_bytes(b'{"prompt_sha256": "caf\xe9"}\n')
+        result = runner.invoke(
+            main,
+            [
+                "suggest",
+                "--task-file", str(new_task_file),
+                "--pool", str(pool),
+                "--backend", "replay",
+                "--cassette", str(cassette),
+            ],
+        )
+        assert result.exit_code == 2, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert f"error: {cassette}: replay cassette is not UTF-8" in result.stderr
+
     def test_stale_embedding_cache_is_refreshed(self, runner, ingest_inputs, new_task_file, tmp_path):
         pool = run_ingest(runner, ingest_inputs, tmp_path / "pool")
         cache_file = pool / "embeddings.jsonl"

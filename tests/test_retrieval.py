@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expcopilot.core import CanonicalExperience, Task
 from expcopilot.errors import ValidationError
@@ -130,6 +132,84 @@ class TestRetrieveExperience:
             assert [(e.task.task_id, s) for e, s in got] == [
                 (e.task.task_id, s) for e, s in oracle
             ]
+
+
+def pairwise_oracle(query, pool, k, exclude=()):
+    """The ranking of one `cosine_similarity` call per pair, then the (-sim, task_id) sort."""
+    scored = [
+        (e, cosine_similarity(query, e.embedding)) for e in pool if e.task.task_id not in exclude
+    ]
+    scored.sort(key=lambda item: (-item[1], item[0].task.task_id))
+    return scored[:k]
+
+
+class TestVecdotScoring:
+    @pytest.mark.parametrize("dim", [3, 256, 1536])
+    def test_vecdot_rows_equal_per_pair_dot_bit_for_bit(self, dim):
+        # retrieve_experience relies on this: np.vecdot must run np.dot's
+        # per-pair kernel. If a numpy release changes that, this fails.
+        rng = np.random.default_rng(dim)
+        scales = 10.0 ** rng.integers(-6, 7, size=(64, dim))
+        matrix = rng.normal(size=(64, dim)) * scales
+        mixed = rng.normal(size=dim) * 10.0 ** rng.integers(-6, 7, size=dim)
+        for query in (rng.normal(size=dim), mixed):
+            rows = np.vecdot(matrix, query)
+            pairs = np.array([np.dot(row, query) for row in matrix])
+            assert rows.tobytes() == pairs.tobytes()
+
+    @given(
+        data=st.data(),
+        dim=st.sampled_from([3, 256]),
+        seed=st.integers(0, 2**32 - 1),
+        zeros=st.sampled_from([0.0, 0.3, 1.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_pairwise_oracle(self, data, dim, seed, zeros):
+        # Components of mixed magnitude, a share `zeros` of them signed zeros
+        # (all of them: a zero vector). Few distinct vectors, so the pool holds
+        # exact ties (duplicates) that only the task ids order.
+        rng = np.random.default_rng(seed)
+        distinct = rng.normal(size=(4, dim)) * 10.0 ** rng.integers(-3, 4, size=(4, dim))
+        signed_zeros = np.where(rng.random((4, dim)) < 0.5, 0.0, -0.0)
+        distinct = np.where(rng.random((4, dim)) < zeros, signed_zeros, distinct)
+        picks = data.draw(st.lists(st.integers(0, 3), max_size=10))
+        names = data.draw(st.permutations([f"t{i:02d}" for i in range(len(picks))]))
+        pool = [entry(name, distinct[j]) for name, j in zip(names, picks)]
+        # Inserted entries with another tag (t), another length (l) or a zero vector (z).
+        inserts = st.lists(st.tuples(st.integers(0, len(pool)), st.sampled_from("tlz")), max_size=2)
+        for pos, kind in data.draw(inserts):
+            values = {"t": distinct[0], "l": (1.0,) * (dim + 1), "z": (0.0,) * dim}[kind]
+            embedding = vec(*values, tag="other" if kind == "t" else "test")
+            pool.insert(pos, PoolEntry(Task(f"bad{pos}{kind}", "s", "bad"), embedding, ()))
+        query = vec(*distinct[data.draw(st.integers(0, 3))])
+        ids = [e.task.task_id for e in pool]
+        exclude = data.draw(st.sets(st.sampled_from(ids))) if ids else set()
+        k = data.draw(st.integers(1, len(pool) + 1))
+        try:
+            want = pairwise_oracle(query, pool, k, exclude)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as got:
+                retrieve_experience(query, pool, k, exclude=exclude)
+            assert str(got.value) == str(exc)
+        else:
+            assert retrieve_experience(query, pool, k, exclude=exclude) == want
+
+    def test_error_names_the_first_offending_entry_in_pool_order(self):
+        query = vec(1.0, 0.0)
+        pool = [
+            entry("ok", (1.0, 0.0)),
+            PoolEntry(Task("long", "s", "d"), vec(1.0, 0.0, 0.0), ()),
+            PoolEntry(Task("other", "s", "d"), vec(1.0, 0.0, tag="other"), ()),
+            entry("zero", (0.0, 0.0)),
+        ]
+        with pytest.raises(ValidationError, match="length mismatch: 2 vs 3"):
+            retrieve_experience(query, pool, 4)
+        with pytest.raises(ValidationError, match="model mismatch"):
+            retrieve_experience(query, pool, 4, exclude={"long"})
+        with pytest.raises(ValidationError, match="zero vector"):
+            retrieve_experience(query, pool, 4, exclude={"long", "other"})
+        top = retrieve_experience(query, pool, 4, exclude={"long", "other", "zero"})
+        assert [e.task.task_id for e, _ in top] == ["ok"]
 
 
 def item(space_id, score, text="guideline"):
