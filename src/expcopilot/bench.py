@@ -19,6 +19,7 @@ from typing import Collection, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .core import (
+    TOP_RECORDS,
     Discretizer,
     ExperienceRecord,
     Solution,
@@ -322,41 +323,40 @@ def _levels_changed(entry: PoolEntry, rows: Sequence[Row], discretizers: Mapping
 class FoldCache:
     """The fits and pool entries that the folds of one leave-one-out sweep share.
 
-    A cache serves the benchmark and `records_per_task` of its first fold only.
+    A cache serves the benchmark of its first fold only.
     """
 
     fits: dict[tuple, Discretizer] = field(default_factory=dict)
     entries: dict[str, tuple[PoolEntry, tuple]] = field(default_factory=dict)
-    bound: tuple | None = None
+    bound: Benchmark | None = None
 
 
 def build_fold_artifacts(
     b: Benchmark,
     train_ids: Sequence[str],
     backend,
-    records_per_task: int = 3,
     cache: FoldCache | None = None,
 ):
     """Offline artifacts for one leave-one-out fold: pool entries and discretizers.
 
-    Discretizers are fitted on the union of the best records per training task
-    only, so nothing from a held-out task leaks into canonicalization; the
-    training ids must be distinct tasks of `b`. `cache` carries work across the
-    folds of one sweep over `b`: each distinct multiset of fitting values
-    (-0.0 apart from 0.0) is fitted once. With `b` and `records_per_task`
-    fixed, the rows a fold leaves out fix its fitting multiset, so the memo is
-    keyed by the held-out values (as `float.hex`) and the training values are
-    gathered only for a new fit. Canonical records depend on the discretizers
-    only through the split signature, (split points, level labels) per
-    parameter, so an entry last built or checked under this fold's signature
-    is reused as is, and under another only if its records' numeric values
-    keep their levels. Otherwise it is rebuilt with its embedding, so each task
-    is embedded once per cache.
+    Discretizers are fitted on the union of the `TOP_RECORDS` best records per
+    training task only, as ingest fits on every task's, so nothing from a
+    held-out task leaks into canonicalization; the training ids must be
+    distinct tasks of `b`. `cache` carries work across the folds of one sweep
+    over `b`: each distinct multiset of fitting values (-0.0 apart from 0.0) is
+    fitted once. With `b` fixed, the rows a fold leaves out fix its fitting
+    multiset, so the memo is keyed by the held-out values (as `float.hex`) and
+    the training values are gathered only for a new fit. Canonical records
+    depend on the discretizers only through the split signature, (split
+    points, level labels) per parameter, so an entry last built or checked
+    under this fold's signature is reused as is, and under another only if its
+    records' numeric values keep their levels. Otherwise it is rebuilt with its
+    embedding, so each task is embedded once per cache.
     """
     cache = FoldCache() if cache is None else cache
-    cache.bound = cache.bound or (b, records_per_task)
-    if cache.bound[0] is not b or cache.bound[1] != records_per_task:
-        raise ValidationError("a FoldCache serves one benchmark and one records_per_task")
+    cache.bound = cache.bound or b
+    if cache.bound is not b:
+        raise ValidationError("a FoldCache serves one benchmark")
     train = set(train_ids)
     held = [t.task_id for t in b.tasks if t.task_id not in train]
     if len(held) + len(train_ids) != len(b.tasks):
@@ -364,13 +364,13 @@ def build_fold_artifacts(
         raise ValidationError(f"train ids must be distinct tasks of benchmark '{b.name}': {bad}")
 
     def top(ids: Sequence[str]) -> list[Row]:
-        return [row for tid in ids for row in b.ranked_rows[tid][:records_per_task]]
+        return [row for tid in ids for row in b.ranked_rows[tid][:TOP_RECORDS]]
 
     held_rows, discretizers = top(held), {}
     for p in b.space.parameters:
         if p.kind != "numeric":
             continue
-        key = p.name, records_per_task, tuple(sorted(float.hex(r.solution.values[p.name]) for r in held_rows))
+        key = p.name, tuple(sorted(float.hex(r.solution.values[p.name]) for r in held_rows))
         if key not in cache.fits:
             cache.fits[key] = fit_discretizer([r.solution.values[p.name] for r in top(train_ids)], p)
         discretizers[p.name] = cache.fits[key]
@@ -379,7 +379,7 @@ def build_fold_artifacts(
     for tid in train_ids:
         entry, checked = cache.entries.get(tid, (None, None))
         if checked != signature:
-            rows = b.ranked_rows[tid][:records_per_task]
+            rows = b.ranked_rows[tid][:TOP_RECORDS]
             if entry is None or _levels_changed(entry, rows, discretizers):
                 task = b.task(tid)
                 entry = PoolEntry(
@@ -400,7 +400,6 @@ class EvalConfig:
     suggestion: SuggestionConfig = SuggestionConfig()
     elicitation: ElicitationConfig = ElicitationConfig()
     use_knowledge: bool = False
-    records_per_task: int = 3
 
 
 @dataclass(frozen=True)
@@ -449,8 +448,10 @@ def strip_query_section(prompt: str) -> str:
 
 
 def _assert_no_leakage(scanned: str, held_out: Task, twins: Sequence[Task]) -> None:
+    """Prompts name tasks only by "Dataset: <description>" lines, so only such a
+    whole line for the held-out task or a twin is a leak."""
     for t in (held_out, *twins):
-        if t.task_id in scanned or t.description in scanned:
+        if f"\nDataset: {t.description}\n" in f"\n{scanned}\n":
             raise AssertionError(
                 f"leave-one-out hygiene violation: held-out task '{t.task_id}' "
                 "appears in a prompt"
@@ -468,7 +469,7 @@ def _copilot_solutions(
     cache: FoldCache,
     prompt_sink: list | None,
 ) -> list[Solution]:
-    pool, discretizers = build_fold_artifacts(b, train_ids, backend, cfg.records_per_task, cache)
+    pool, discretizers = build_fold_artifacts(b, train_ids, backend, cache)
     twins = [b.task(tid) for tid in b.twins.get(task.task_id, ())]
     sug_cfg = replace(cfg.suggestion, task_kind=b.task_kind)
     knowledge = []
@@ -516,16 +517,16 @@ def run_loo_eval(
 ) -> EvalReport:
     """Leave-one-out sweep: hold each task out, suggest for it, score metric@{1,2,3}.
 
-    Offline artifacts come from the remaining tasks only; twins of the
-    held-out task are excluded as well. One `FoldCache` serves the sweep: each
-    distinct fitting multiset is fitted once, and each task's pool entry is
-    rebuilt only when the split points move its records' levels (see
-    `build_fold_artifacts`). The backend's `embed` is memoized by text for the
-    sweep, so each description is embedded once: the held-out queries and
-    elicitation's validation queries reuse the pool's vectors, and an
-    embedding that failed is asked for again by the next fold that needs it.
-    A method failure on a task is recorded as the worst score and flagged
-    instead of aborting the sweep.
+    Offline artifacts come from the `TOP_RECORDS` best records of the
+    remaining tasks only; twins of the held-out task are excluded as well. One
+    `FoldCache` serves the sweep: each distinct fitting multiset is fitted
+    once, and each task's pool entry is rebuilt only when the split points move
+    its records' levels (see `build_fold_artifacts`). The backend's `embed` is
+    memoized by text for the sweep, so each description is embedded once: the
+    held-out queries and elicitation's validation queries reuse the pool's
+    vectors, and an embedding that failed is asked for again by the next fold
+    that needs it. A method failure on a task is recorded as the worst score
+    and flagged instead of aborting the sweep.
     """
     cfg = cfg or EvalConfig()
     if method not in METHODS:

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import click
 
 from . import bench, storage
-from .core import check_direction, derive_seed, rank_by_task
+from .core import TOP_RECORDS, check_direction, derive_seed, rank_by_task
 from .elicitation import ElicitationConfig, elicit_knowledge
 from .errors import ConfigError, ExpCopilotError, GatewayError, ParseError
 from .gateway import backend_from_config, embed_batch, prompt_sha256
@@ -44,19 +44,13 @@ def load_config(path: str | None) -> AppConfig:
         if not isinstance(raw, dict):
             raise ConfigError(f"invalid config {path}: expected a JSON object")
     try:
-        sug_raw = dict(raw.get("suggestion", {}))
-        if "stop_sequences" in sug_raw and sug_raw["stop_sequences"] is not None:
-            sug_raw["stop_sequences"] = tuple(sug_raw["stop_sequences"])
-        eli_raw = dict(raw.get("elicitation", {}))
-        if "questions" in eli_raw:
-            eli_raw["questions"] = tuple(eli_raw["questions"])
         cfg = AppConfig(
             seed=int(raw.get("seed", 0)),
             direction=check_direction(raw.get("direction", "higher")),
             backend=dict(raw.get("backend", {"kind": "scripted"})),
             paths=dict(raw.get("paths", {})),
-            suggestion=SuggestionConfig(**sug_raw),
-            elicitation=ElicitationConfig(**eli_raw),
+            suggestion=SuggestionConfig(**dict(raw.get("suggestion", {}))),
+            elicitation=ElicitationConfig(**dict(raw.get("elicitation", {}))),
             eval=dict(raw.get("eval", {})),
         )
     except (TypeError, ValueError) as exc:
@@ -97,7 +91,7 @@ def cmd_ingest(cfg: AppConfig, history_paths, space_path, tasks_path, out_dir) -
     ranked = rank_by_task(((r.task.task_id, r.metric, r) for r in records), cfg.direction)
     fitting: dict[str, list[float]] = {}
     for task_id in sorted(ranked):
-        for record in ranked[task_id][:3]:
+        for record in ranked[task_id][:TOP_RECORDS]:
             for p in space.parameters:
                 if p.kind == "numeric":
                     fitting.setdefault(p.name, []).append(float(record.solution.values[p.name]))
@@ -142,23 +136,10 @@ def _load_pool_dir(pool_dir, space_path=None):
 
 
 def _save_trace(trace, path) -> None:
-    storage.write_jsonl(
-        path,
-        (
-            {
-                "round": r.round,
-                "question": r.question,
-                "temperature": r.temperature,
-                "prompt_sha256": prompt_sha256(r.prompt),
-                "candidate": r.candidate,
-                "score": r.score,
-                "improved": r.improved,
-                "stagnation": r.stagnation,
-                "error": r.error,
-            }
-            for r in trace
-        ),
-    )
+    rows = [asdict(r) for r in trace]
+    for row in rows:
+        row["prompt_sha256"] = prompt_sha256(row.pop("prompt"))
+    storage.write_jsonl(path, rows)
 
 
 def cmd_elicit(cfg: AppConfig, pool_dir, benchmark_dir, out_knowledge, out_trace) -> None:

@@ -24,6 +24,9 @@ DEFAULT_LEVELS = ("very low", "low", "medium", "high", "very high")
 
 DIRECTIONS = ("higher", "lower")
 
+# How many best records of each task the discretizers are fitted on, at ingest and in every fold.
+TOP_RECORDS = 3
+
 
 def check_direction(direction: str) -> str:
     if direction not in DIRECTIONS:
@@ -381,6 +384,19 @@ def verbalize_solution(
     return " ".join(parts)
 
 
+def discretize_solution(
+    solution: Solution, space: SolutionSpace, discretizers: Mapping[str, Discretizer]
+) -> dict[str, str]:
+    """Each parameter's level label (numeric) or choice (categorical), in space order;
+    parameters absent from the solution are skipped."""
+    discrete: dict[str, str] = {}
+    for p in space.parameters:
+        if p.name in solution.values:
+            v = solution.values[p.name]
+            discrete[p.name] = discretizers[p.name].discretize(float(v)) if p.kind == "numeric" else str(v)
+    return discrete
+
+
 def canonicalize(
     record: ExperienceRecord,
     space: SolutionSpace,
@@ -395,15 +411,7 @@ def canonicalize(
     for name in record.solution.values:
         if name not in space.parameter_names:
             raise ValidationError(f"record parameter '{name}' is absent from space '{space.space_id}'")
-    discrete: dict[str, str] = {}
-    for p in space.parameters:
-        if p.name not in record.solution.values:
-            continue
-        v = record.solution.values[p.name]
-        if p.kind == "numeric":
-            discrete[p.name] = discretizers[p.name].discretize(float(v))
-        else:
-            discrete[p.name] = str(v)
+    discrete = discretize_solution(record.solution, space, discretizers)
     text = verbalize_solution(discrete, space, discretizers)
     return CanonicalExperience(
         task_id=record.task.task_id,
@@ -423,16 +431,3 @@ def rank_by_task(triples: Iterable[tuple[str, float, object]], direction: str) -
         groups.setdefault(task_id, []).append((sign * metric, index, item))
     # Indices are unique, so sorting never compares the items themselves.
     return {task_id: [item for _, _, item in sorted(group)] for task_id, group in groups.items()}
-
-
-def best_solutions(
-    records: Sequence[ExperienceRecord],
-    task_id: str,
-    n: int,
-    direction: str = "higher",
-) -> list[ExperienceRecord]:
-    """The n best records for a task under the metric direction, stable on ties."""
-    if n < 1:
-        raise ValidationError("n must be at least 1")
-    mine = ((task_id, r.metric, r) for r in records if r.task.task_id == task_id)
-    return rank_by_task(mine, direction).get(task_id, [])[:n]

@@ -123,8 +123,6 @@ def validate_candidate(
     """
     from .bench import evaluate_solution, normalize_accuracy
 
-    if not candidate.text:
-        raise ValidationError("candidate text must be non-empty")
     if not queries:
         raise ValidationError("validation task set is empty")
     cfg = replace(suggestion_config, temperature=0.0)
@@ -218,21 +216,11 @@ def elicit_knowledge(
             candidate = KnowledgeItem(
                 space_id=space.space_id, text=text, validation_score=0.0, provenance=provenance
             )
-            score = validator(candidate)
+            score, error = validator(candidate), None
         except (GatewayError, ValidationError) as exc:
-            stagnation += 1
-            trace.append(
-                ElicitationRound(
-                    round=round_index, question=question, temperature=temperature,
-                    prompt=prompt, candidate=None, score=None, improved=False,
-                    stagnation=stagnation, error=str(exc),
-                )
-            )
-            if stagnation > cfg.patience:
-                break
-            continue
+            text, score, error = None, None, str(exc)
 
-        improved = score > best_score
+        improved = score is not None and score > best_score
         if improved:
             best_score = score
             best = replace(candidate, validation_score=score)
@@ -243,7 +231,7 @@ def elicit_knowledge(
             ElicitationRound(
                 round=round_index, question=question, temperature=temperature,
                 prompt=prompt, candidate=text, score=score, improved=improved,
-                stagnation=stagnation,
+                stagnation=stagnation, error=error,
             )
         )
         if stagnation > cfg.patience:

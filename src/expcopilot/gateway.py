@@ -241,7 +241,6 @@ class HttpBackend:
         except (KeyError, IndexError, TypeError) as exc:
             raise GatewayError(f"malformed completion response: {exc}") from exc
         self._journal(
-            kind="complete",
             sha=prompt_sha256(req.prompt),
             request={
                 "kind": "complete",
@@ -263,7 +262,6 @@ class HttpBackend:
         except (KeyError, IndexError, TypeError) as exc:
             raise GatewayError(f"malformed embedding response: {exc}") from exc
         self._journal(
-            kind="embed",
             sha=prompt_sha256(text),
             request={"kind": "embed", "model": self.embed_model},
             response=list(values),
@@ -293,7 +291,7 @@ class HttpBackend:
                 time.sleep(self.backoff[min(attempt, len(self.backoff) - 1)])
         raise GatewayError(f"request to {url} failed after {self.max_attempts} attempts ({last_detail})")
 
-    def _journal(self, kind: str, sha: str, request: dict, response: object) -> None:
+    def _journal(self, sha: str, request: dict, response: object) -> None:
         if self._journal_path is None:
             return
         line = json.dumps(

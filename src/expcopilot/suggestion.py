@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Collection, Mapping, Sequence
 
-from .core import Discretizer, Solution, SolutionSpace, Task
+from .core import Discretizer, Solution, SolutionSpace, Task, discretize_solution
 from .errors import ParseError, ValidationError
 from .gateway import CONFIG_LINE, CompletionRequest, estimate_tokens, max_prompt_chars
 from .retrieval import KnowledgeItem, PoolEntry, retrieve_experience, retrieve_knowledge
@@ -73,10 +73,6 @@ def _instruction(n: int, task_kind: str, have_demos: bool, have_knowledge: bool)
     return tail[0].upper() + tail[1:]
 
 
-def _demo_block(entry: PoolEntry, demos_per_task: int) -> str:
-    return entry.block(demos_per_task)
-
-
 def build_suggestion_prompt(
     space: SolutionSpace,
     task: Task,
@@ -111,7 +107,7 @@ def build_suggestion_prompt(
     room = max_prompt_chars(cfg.token_budget, cfg.chars_per_token)
     room -= len(space.description) + 2 + len(demo_tail)
     for entry in demos:
-        block = _demo_block(entry, cfg.demos_per_task)
+        block = entry.block(cfg.demos_per_task)
         room -= len(block) + 2
         if room < 0:
             break
@@ -206,16 +202,6 @@ def concretize(
     return Solution(space, values)
 
 
-def _discretize_solution(
-    solution: Solution, space: SolutionSpace, discretizers: Mapping[str, Discretizer]
-) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for p in space.parameters:
-        v = solution.values[p.name]
-        out[p.name] = discretizers[p.name].discretize(float(v)) if p.kind == "numeric" else str(v)
-    return out
-
-
 def retrieve_demos(
     task: Task,
     pool: Sequence[PoolEntry],
@@ -298,7 +284,7 @@ def suggest(
         for solution in fallback():
             if len(items) >= cfg.n_suggestions:
                 break
-            items.append((_discretize_solution(solution, space, discretizers), solution))
+            items.append((discretize_solution(solution, space, discretizers), solution))
             fallback_count += 1
     if len(items) < cfg.n_suggestions:
         raise ParseError(

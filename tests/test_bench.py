@@ -30,6 +30,7 @@ from expcopilot.bench import (
     write_report_json,
 )
 from expcopilot.core import (
+    TOP_RECORDS,
     ExperienceRecord,
     ParameterDef,
     Solution,
@@ -39,6 +40,7 @@ from expcopilot.core import (
     fit_discretizer,
     solution_key,
 )
+from expcopilot.elicitation import ElicitationConfig
 from expcopilot.errors import BenchmarkError, ConfigError, GatewayError, ValidationError
 from expcopilot.gateway import ScriptedBackend
 from expcopilot.retrieval import PoolEntry
@@ -510,10 +512,10 @@ class TestBaselineNearestTask:
             baseline_nearest_task(b, [b.task("mini-1")], b.task("mini-2"), 1)
 
 
-def reference_fold_artifacts(b, train_ids, backend, records_per_task):
+def reference_fold_artifacts(b, train_ids, backend):
     """The per-fold rebuild the pool cache replaced, kept as the reference:
     refit the discretizers, then canonicalize and embed every training task."""
-    top = {tid: b.ranked_rows[tid][:records_per_task] for tid in train_ids}
+    top = {tid: b.ranked_rows[tid][:TOP_RECORDS] for tid in train_ids}
     discretizers = {
         p.name: fit_discretizer([row.solution.values[p.name] for rows in top.values() for row in rows], p)
         for p in b.space.parameters
@@ -574,10 +576,10 @@ def continuous_benchmark(task_rows):
     )
 
 
-def fitting_multisets(b, train_ids, records_per_task):
+def fitting_multisets(b, train_ids):
     """(parameter, fitting multiset) of each numeric parameter in one fold, the
     multiset as sorted `float.hex` strings, which tell -0.0 from 0.0."""
-    top = [row for tid in train_ids for row in b.ranked_rows[tid][:records_per_task]]
+    top = [row for tid in train_ids for row in b.ranked_rows[tid][:TOP_RECORDS]]
     return {
         (p.name, tuple(sorted(float.hex(row.solution.values[p.name]) for row in top)))
         for p in b.space.parameters
@@ -593,10 +595,9 @@ class TestFoldArtifacts:
     @given(
         data=st.data(),
         task_rows=st.lists(st.lists(_CONTINUOUS_ROW, min_size=1, max_size=5), min_size=2, max_size=6),
-        records_per_task=st.integers(1, 3),
     )
     @settings(max_examples=300, deadline=None)
-    def test_cached_pool_equals_a_fresh_build(self, data, task_rows, records_per_task):
+    def test_cached_pool_equals_a_fresh_build(self, data, task_rows):
         # Copies of tasks, some with the sign of their zero shifts flipped, and
         # training sets with tasks swapped for their copies give different
         # training sets with equal fitting multisets, or multisets that differ
@@ -618,12 +619,12 @@ class TestFoldArtifacts:
         backend, cache = ScriptedBackend(), FoldCache()
         with mock.patch.object(bench, "fit_discretizer", wraps=fit_discretizer) as fit:
             for train_ids in folds:
-                got = build_fold_artifacts(b, train_ids, backend, records_per_task, cache)
-                want = reference_fold_artifacts(b, train_ids, ScriptedBackend(), records_per_task)
+                got = build_fold_artifacts(b, train_ids, backend, cache)
+                want = reference_fold_artifacts(b, train_ids, ScriptedBackend())
                 # repr tells -0.0 from 0.0, which == does not.
                 assert got == want and repr(got) == repr(want)
         assert backend.embed_calls == len({tid for train_ids in folds for tid in train_ids})
-        distinct = set().union(*(fitting_multisets(b, fold, records_per_task) for fold in folds))
+        distinct = set().union(*(fitting_multisets(b, fold) for fold in folds))
         assert fit.call_count == len(distinct)
 
     @pytest.mark.parametrize("bundle", ["synth_dir", "continuous_dir"])
@@ -641,19 +642,17 @@ class TestFoldArtifacts:
         distinct = set()
         for task in b.tasks:
             held = {task.task_id, *b.twins.get(task.task_id, ())}
-            distinct |= fitting_multisets(b, [t.task_id for t in b.tasks if t.task_id not in held], 3)
+            distinct |= fitting_multisets(b, [t.task_id for t in b.tasks if t.task_id not in held])
         assert fitted == Counter(dict.fromkeys(distinct, 1))
 
-    def test_cache_serves_one_benchmark_and_records_per_task(self, synth_benchmark, synth_dir):
+    def test_cache_serves_one_benchmark(self, synth_benchmark, synth_dir):
         ids = [t.task_id for t in synth_benchmark.tasks]
         cache = FoldCache()
-        build_fold_artifacts(synth_benchmark, ids[1:], ScriptedBackend(), 3, cache)
-        with pytest.raises(ValidationError, match="records_per_task"):
-            build_fold_artifacts(synth_benchmark, ids[2:], ScriptedBackend(), 1, cache)
+        build_fold_artifacts(synth_benchmark, ids[1:], ScriptedBackend(), cache)
         with pytest.raises(ValidationError, match="one benchmark"):
-            build_fold_artifacts(load_benchmark(synth_dir), ids[2:], ScriptedBackend(), 3, cache)
-        entries, _ = build_fold_artifacts(synth_benchmark, ids[2:], ScriptedBackend(), 3, cache)
-        assert all(len(e.experiences) == 3 for e in entries)
+            build_fold_artifacts(load_benchmark(synth_dir), ids[2:], ScriptedBackend(), cache)
+        entries, _ = build_fold_artifacts(synth_benchmark, ids[2:], ScriptedBackend(), cache)
+        assert all(len(e.experiences) == TOP_RECORDS for e in entries)
 
     @pytest.mark.parametrize(
         "train_ids, bad",
@@ -797,6 +796,51 @@ class TestRunLooEval:
             assert held.description not in prompt
             for twin_id in b.twins.get(held_id, ()):
                 assert b.task(twin_id).description not in prompt
+
+    @pytest.mark.parametrize("use_knowledge", [False, True])
+    def test_task_ids_inside_prompt_lines_are_not_leaks(self, synth_dir, tmp_path, use_knowledge):
+        # Ids "1" to "12" appear in every prompt ("Configuration 1: ..."), but
+        # prompts name tasks only by their "Dataset: <description>" lines.
+        cfg = bench.EvalConfig(use_knowledge=use_knowledge, elicitation=ElicitationConfig(rounds=2))
+        root = tmp_path / "digit-ids"
+        root.mkdir()
+        for name in ("space.json", "meta.json", "tasks.jsonl", "table.jsonl"):
+            text = (synth_dir / name).read_text()
+            for i in range(12):
+                text = text.replace(f'"{synth.task_id_for(i)}"', f'"{i + 1}"')
+            (root / name).write_text(text)
+        b = load_benchmark(root)
+        assert [t.task_id for t in b.tasks] == [str(i) for i in range(1, 13)]
+        report = run_loo_eval(b, "copilot", [0], cfg, backend=ScriptedBackend())
+        assert not any(row.failed for row in report.rows)
+        original = run_loo_eval(load_benchmark(synth_dir), "copilot", [0], cfg, backend=ScriptedBackend())
+        assert [row.metrics for row in report.rows] == [row.metrics for row in original.rows]
+
+    def test_held_out_dataset_line_is_a_leak(self, synth_benchmark):
+        held, twin, other = (synth_benchmark.task(synth.task_id_for(i)) for i in (0, 1, 2))
+        block = f"Dataset: {other.description}\nConfiguration 1: depth is low."
+        bench._assert_no_leakage(f"desc\n\n{block}", held, [twin])
+        # A line that only contains the description, or the id alone, is no leak.
+        bench._assert_no_leakage(f"desc {held.task_id}\n\nDataset: {held.description} too", held, [twin])
+        for leaked in (held, twin):
+            prompt = f"desc\n\n{block}\n\nDataset: {leaked.description}\nConfiguration 1: depth is low."
+            with pytest.raises(AssertionError, match=f"held-out task '{leaked.task_id}'"):
+                bench._assert_no_leakage(prompt, held, [twin])
+
+    def test_a_pool_holding_the_held_out_task_is_caught(self, synth_benchmark, monkeypatch):
+        # A fold that pools every task and retrieves without exclusion.
+        all_ids = [t.task_id for t in synth_benchmark.tasks]
+        fold, retrieve = bench.build_fold_artifacts, bench.retrieve_demos
+        monkeypatch.setattr(
+            bench, "build_fold_artifacts",
+            lambda b, train_ids, backend, cache: fold(b, all_ids, backend, cache),
+        )
+        monkeypatch.setattr(
+            bench, "retrieve_demos",
+            lambda task, pool, cfg, backend, exclude: retrieve(task, pool, cfg, backend),
+        )
+        with pytest.raises(AssertionError, match="held-out task"):
+            run_loo_eval(synth_benchmark, "copilot", seeds=[0], backend=ScriptedBackend())
 
     def test_strip_query_section(self):
         prompt = "desc\n\nDataset: demo one\nConfiguration 1: x\n\nDataset: the query"

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import synth
-from expcopilot import cli, storage
+from expcopilot import bench, cli, storage
 from expcopilot.cli import main
 from expcopilot.core import Task
 from expcopilot.gateway import ScriptedBackend, prompt_sha256
@@ -102,6 +102,21 @@ class TestIngest:
         assert [(r["task_id"], r["metric"]) for r in pool] == [
             (row["task_id"], float(row["metric"])) for row in history
         ]
+
+    @pytest.mark.parametrize("bundle", ["synth_dir", "continuous_dir"])
+    def test_fits_the_discretizers_of_a_fold_over_every_task(self, runner, bundle, request, tmp_path):
+        # Ingest and leave-one-out evaluation fit on the same top records per
+        # task. With one booster kept, a task's best records hold different
+        # numeric values, so fitting on another record count would change the fit.
+        src = Path(request.getfixturevalue(bundle))
+        root = tmp_path / "bundle"
+        shutil.copytree(src, root)
+        rows = [line for line in (src / "table.jsonl").read_text().splitlines() if '"tree"' in line]
+        (root / "table.jsonl").write_text("\n".join(rows) + "\n")
+        out = run_ingest(runner, (root / "table.jsonl", root / "space.json", root / "tasks.jsonl"), tmp_path / "pool")
+        b = bench.load_benchmark(root)
+        _, fold_discretizers = bench.build_fold_artifacts(b, [t.task_id for t in b.tasks], ScriptedBackend())
+        assert storage.load_discretizers(out / "discretizers.json") == fold_discretizers
 
     def test_empty_history_is_config_error(self, runner, ingest_inputs, tmp_path):
         history, space, tasks = ingest_inputs

@@ -16,8 +16,8 @@ from expcopilot.core import (
     Solution,
     SolutionSpace,
     Task,
-    best_solutions,
     canonicalize,
+    discretize_solution,
     fit_discretizer,
     solution_key,
     verbalize_solution,
@@ -289,30 +289,20 @@ class TestCanonicalize:
         with pytest.raises(ValidationError, match="degree"):
             canonicalize(record, svm_space, svm_discretizers)
 
-
-def make_records(space, metrics):
-    task = Task(task_id="t", space_id=space.space_id, description="d")
-    solution = Solution(space, {"cost": 1.0, "gamma": 0.01, "kernel": "radial"})
-    return [ExperienceRecord(task=task, solution=solution, metric=m) for m in metrics]
-
-
-class TestBestSolutions:
-    def test_higher_better_with_ties(self, svm_space):
-        records = make_records(svm_space, [0.7, 0.9, 0.9, 0.5])
-        top = best_solutions(records, "t", 3, "higher")
-        assert [r.metric for r in top] == [0.9, 0.9, 0.7]
-        assert top[0] is records[1] and top[1] is records[2]
-
-    def test_n_larger_than_available(self, svm_space):
-        records = make_records(svm_space, [0.7, 0.9])
-        assert len(best_solutions(records, "t", 10, "higher")) == 2
-
-    def test_lower_better(self, svm_space):
-        records = make_records(svm_space, [3.0, 1.0, 2.0])
-        assert best_solutions(records, "t", 1, "lower")[0].metric == 1.0
-
-    def test_unknown_task_returns_empty(self, svm_space):
-        assert best_solutions(make_records(svm_space, [0.1]), "other", 2, "higher") == []
+    def test_discretize_solution_skips_absent_parameters(self, svm_space, svm_discretizers):
+        # A space with an extra (conditional) parameter: the solution has no value for it.
+        bigger = SolutionSpace(
+            space_id=svm_space.space_id,
+            description=svm_space.description,
+            parameters=svm_space.parameters
+            + (ParameterDef("degree", "numeric", numeric_range=(1.0, 5.0)),),
+        )
+        solution = Solution(svm_space, {"cost": 1.0, "gamma": 0.01, "kernel": "radial"})
+        record = ExperienceRecord(Task("t", svm_space.space_id, "d"), solution, 0.5)
+        discrete = discretize_solution(solution, bigger, svm_discretizers)
+        assert list(discrete) == ["cost", "gamma", "kernel"]
+        assert discrete == dict(canonicalize(record, bigger, svm_discretizers).discrete_solution)
+        assert discrete == discretize_solution(solution, svm_space, svm_discretizers)
 
 
 class TestExperienceRecord:

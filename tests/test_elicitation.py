@@ -204,6 +204,17 @@ class TestElicitControlFlow:
         assert trace[1].error is not None and trace[1].candidate is None
         assert best.text == "candidate 3"
 
+    def test_failed_rounds_count_toward_patience(self, svm_space, online_demo_entries):
+        # Rounds 2 and 3 fail: stagnation reaches 2 > patience 1, so round 3 is the last.
+        backend, best, trace = run_elicit(
+            [0.5, 0.9, 0.9, 0.9], 4, 1, online_demo_entries, svm_space, fail_rounds=(2, 3)
+        )
+        assert backend.calls == 3 and best.text == "candidate 1"
+        assert [(r.candidate, r.score, r.improved, r.stagnation, r.error) for r in trace[1:]] == [
+            (None, None, False, 1, "injected failure"),
+            (None, None, False, 2, "injected failure"),
+        ]
+
     def test_all_rounds_failing_raises_with_trace(self, svm_space, online_demo_entries):
         backend = SequenceBackend(fail_rounds=range(1, 20))
         cfg = ElicitationConfig(rounds=5, patience=10, seed=1)

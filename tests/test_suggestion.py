@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expcopilot import suggestion as suggestion_module
 from expcopilot.bench import build_fold_artifacts
 from expcopilot.core import (
     DEFAULT_LEVELS,
@@ -24,7 +23,6 @@ from expcopilot.retrieval import EmbeddingVector, KnowledgeItem, PoolEntry
 from expcopilot.suggestion import (
     FILL_BUDGET,
     SuggestionConfig,
-    _demo_block,
     _instruction,
     build_suggestion_prompt,
     concretize,
@@ -47,7 +45,7 @@ def reference_prompt(space, task, demos, knowledge, cfg):
 
     def assemble(m):
         parts = [space.description]
-        parts.extend(_demo_block(entry, cfg.demos_per_task) for entry in demos[:m])
+        parts.extend(entry.block(cfg.demos_per_task) for entry in demos[:m])
         if knowledge:
             numbered = "\n".join(f"{i}. {k.text}" for i, k in enumerate(knowledge, start=1))
             parts.append("Guidelines:\n" + numbered)
@@ -196,12 +194,13 @@ class TestBuildSuggestionPrompt:
         # The budget is fitted by summing block lengths, so the work is one
         # block lookup per kept demo plus the one that overflows.
         checks = []
+        real_block = PoolEntry.block
 
-        def counting_block(entry, demos_per_task):
+        def counting_block(entry, n_configs=None):
             checks.append(entry.task.task_id)
-            return _demo_block(entry, demos_per_task)
+            return real_block(entry, n_configs)
 
-        monkeypatch.setattr(suggestion_module, "_demo_block", counting_block)
+        monkeypatch.setattr(PoolEntry, "block", counting_block)
         entries = [
             text_entry(i, f"dataset {i} " * 5, ["cost is low. gamma is high. kernel is radial."] * 3)
             for i in range(150)
