@@ -17,7 +17,7 @@ import click
 from . import bench, storage
 from .core import TOP_RECORDS, check_direction, derive_seed, rank_by_task
 from .elicitation import ElicitationConfig, elicit_knowledge
-from .errors import ConfigError, ExpCopilotError, GatewayError, ParseError
+from .errors import ConfigError, ExpCopilotError
 from .gateway import backend_from_config, embed_batch, prompt_sha256
 from .retrieval import PoolEntry
 from .suggestion import SuggestionConfig, retrieve_demos, suggest
@@ -28,7 +28,6 @@ class AppConfig:
     seed: int = 0
     direction: str = "higher"
     backend: dict = field(default_factory=lambda: {"kind": "scripted"})
-    paths: dict = field(default_factory=dict)
     suggestion: SuggestionConfig = field(default_factory=SuggestionConfig)
     elicitation: ElicitationConfig = field(default_factory=ElicitationConfig)
     eval: dict = field(default_factory=dict)
@@ -48,7 +47,6 @@ def load_config(path: str | None) -> AppConfig:
             seed=int(raw.get("seed", 0)),
             direction=check_direction(raw.get("direction", "higher")),
             backend=dict(raw.get("backend", {"kind": "scripted"})),
-            paths=dict(raw.get("paths", {})),
             suggestion=SuggestionConfig(**dict(raw.get("suggestion", {}))),
             elicitation=ElicitationConfig(**dict(raw.get("elicitation", {}))),
             eval=dict(raw.get("eval", {})),
@@ -89,16 +87,11 @@ def cmd_ingest(cfg: AppConfig, history_paths, space_path, tasks_path, out_dir) -
         raise ConfigError("history is empty: nothing to ingest")
 
     ranked = rank_by_task(((r.task.task_id, r.metric, r) for r in records), cfg.direction)
-    fitting: dict[str, list[float]] = {}
-    for task_id in sorted(ranked):
-        for record in ranked[task_id][:TOP_RECORDS]:
-            for p in space.parameters:
-                if p.kind == "numeric":
-                    fitting.setdefault(p.name, []).append(float(record.solution.values[p.name]))
+    best = [r.solution.values for rows in ranked.values() for r in rows[:TOP_RECORDS]]
     from .core import CanonicalExperience, canonicalize, fit_discretizer
 
     discretizers = {
-        p.name: fit_discretizer(fitting[p.name], p)
+        p.name: fit_discretizer((float(values[p.name]) for values in best), p)
         for p in space.parameters
         if p.kind == "numeric"
     }
@@ -126,9 +119,9 @@ def cmd_ingest(cfg: AppConfig, history_paths, space_path, tasks_path, out_dir) -
     storage.save_embeddings(embeddings, out / "embeddings.jsonl")
 
 
-def _load_pool_dir(pool_dir, space_path=None):
+def _load_pool_dir(pool_dir):
     pool_dir = Path(pool_dir)
-    space = storage.load_space(space_path or pool_dir / "space.json")
+    space = storage.load_space(pool_dir / "space.json")
     tasks = storage.load_tasks(pool_dir / "tasks.jsonl")
     discretizers = storage.load_discretizers(pool_dir / "discretizers.json")
     embeddings = storage.load_embeddings(pool_dir / "embeddings.jsonl")
@@ -158,25 +151,16 @@ def cmd_elicit(cfg: AppConfig, pool_dir, benchmark_dir, out_knowledge, out_trace
         _save_trace(trace, out_trace)
 
 
-def _embed_tag(backend) -> str | None:
-    return getattr(backend, "embed_model_tag", None) or getattr(backend, "embed_model", None)
-
-
 def cmd_suggest(
-    cfg: AppConfig, task_file, pool_dir, knowledge_path, show_prompt: bool, space_path=None
+    cfg: AppConfig, task_file, pool_dir, knowledge_path, show_prompt: bool
 ) -> list[dict]:
     """Suggest configurations for the task described in task_file; returns JSON rows."""
-    space, tasks, pool_path, discretizers, embeddings = _load_pool_dir(pool_dir, space_path)
+    space, tasks, pool_path, discretizers, embeddings = _load_pool_dir(pool_dir)
     try:
         task = storage.task_from_dict(storage.read_json(task_file))
     except (AttributeError, KeyError, TypeError) as exc:
         raise ConfigError(f"{task_file}: malformed task ({exc!r})") from exc
     backend = backend_from_config(cfg.backend)
-    # The cache is only valid for the backend's embedding model.
-    expected_tag = _embed_tag(backend)
-    if expected_tag and any(vec.model_tag != expected_tag for vec in embeddings.values()):
-        vectors = embed_batch(backend, [t.description for t in tasks])
-        embeddings = {t.task_id: vec for t, vec in zip(tasks, vectors)}
     entries = _build_entries(tasks, pool_path, embeddings, cfg.direction, cfg.suggestion.demos_per_task)
     knowledge = storage.load_knowledge(knowledge_path) if knowledge_path else []
     demos = retrieve_demos(task, entries, cfg.suggestion, backend, exclude={task.task_id})
@@ -219,21 +203,18 @@ def cmd_eval(cfg: AppConfig, benchmark_dir, methods, seeds, out_csv, out_json) -
     bench.write_report_json(reports, out_json)
 
 
-def _exit_on_error(fn):
-    try:
-        fn()
-    except ParseError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(4)
-    except GatewayError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(3)
-    except ExpCopilotError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+class _Main(click.Group):
+    """Prints an `ExpCopilotError` as one `error:` line and exits with its code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ExpCopilotError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(exc.exit_code)
 
 
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Experience-driven configuration suggestions for ML tasks."""
 
@@ -247,12 +228,10 @@ def main():
 @click.option("--direction", default=None, type=click.Choice(["higher", "lower"]))
 def ingest_command(config_path, history_paths, space_path, tasks_path, out_dir, direction):
     """Canonicalize history files into a persisted experience pool."""
-    def run():
-        cfg = load_config(config_path)
-        if direction:
-            cfg.direction = direction
-        cmd_ingest(cfg, list(history_paths), space_path, tasks_path, out_dir)
-    _exit_on_error(run)
+    cfg = load_config(config_path)
+    if direction:
+        cfg.direction = direction
+    cmd_ingest(cfg, list(history_paths), space_path, tasks_path, out_dir)
 
 
 @main.command("elicit")
@@ -264,20 +243,16 @@ def ingest_command(config_path, history_paths, space_path, tasks_path, out_dir, 
 @click.option("--seed", default=None, type=int)
 def elicit_command(config_path, pool_dir, benchmark_dir, out_knowledge, out_trace, seed):
     """Elicit validated knowledge from the experience pool."""
-    def run():
-        cfg = load_config(config_path)
-        if seed is not None:
-            cfg.seed = seed
-        cmd_elicit(cfg, pool_dir, benchmark_dir, out_knowledge, out_trace)
-    _exit_on_error(run)
+    cfg = load_config(config_path)
+    if seed is not None:
+        cfg.seed = seed
+    cmd_elicit(cfg, pool_dir, benchmark_dir, out_knowledge, out_trace)
 
 
 @main.command("suggest")
 @click.option("--config", "config_path", default=None)
 @click.option("--task-file", required=True, type=click.Path(exists=True))
 @click.option("--pool", "pool_dir", required=True, type=click.Path(exists=True))
-@click.option("--space", "space_path", default=None, type=click.Path(exists=True),
-              help="Override the pool's space file.")
 @click.option("--knowledge", "knowledge_path", default=None, type=click.Path(exists=True))
 @click.option("--n", "n_suggestions", default=None, type=int)
 @click.option("--budget", default=None, type=int)
@@ -285,24 +260,21 @@ def elicit_command(config_path, pool_dir, benchmark_dir, out_knowledge, out_trac
 @click.option("--cassette", default=None, type=click.Path())
 @click.option("--show-prompt", is_flag=True, default=False)
 def suggest_command(
-    config_path, task_file, pool_dir, space_path, knowledge_path, n_suggestions,
+    config_path, task_file, pool_dir, knowledge_path, n_suggestions,
     budget, backend_kind, cassette, show_prompt,
 ):
     """Suggest configurations for a new task; prints JSON Lines on stdout."""
-    def run():
-        cfg = load_config(config_path)
-        if n_suggestions is not None:
-            cfg.suggestion = replace(cfg.suggestion, n_suggestions=n_suggestions)
-        if budget is not None:
-            cfg.suggestion = replace(cfg.suggestion, token_budget=budget)
-        if backend_kind is not None:
-            cfg.backend = {"kind": backend_kind}
-            if cassette:
-                cfg.backend["cassette"] = cassette
-            if backend_kind == "http":
-                cfg.backend.update(cfg.paths.get("http", {}))
-        cmd_suggest(cfg, task_file, pool_dir, knowledge_path, show_prompt, space_path)
-    _exit_on_error(run)
+    cfg = load_config(config_path)
+    if n_suggestions is not None:
+        cfg.suggestion = replace(cfg.suggestion, n_suggestions=n_suggestions)
+    if budget is not None:
+        cfg.suggestion = replace(cfg.suggestion, token_budget=budget)
+    if backend_kind is not None:
+        # The kind replaces the config's; its other backend settings stay.
+        cfg.backend = {**cfg.backend, "kind": backend_kind}
+        if cassette:
+            cfg.backend["cassette"] = cassette
+    cmd_suggest(cfg, task_file, pool_dir, knowledge_path, show_prompt)
 
 
 @main.command("eval")
@@ -314,15 +286,13 @@ def suggest_command(
 @click.option("--out-json", default="report.json", type=click.Path())
 def eval_command(config_path, benchmark_dir, methods, seeds, out_csv, out_json):
     """Leave-one-out evaluation of the configured methods."""
-    def run():
-        cfg = load_config(config_path)
-        method_list = [m.strip() for m in methods.split(",") if m.strip()]
-        try:
-            seed_list = [int(s) for s in seeds.split(",") if s.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"--seeds must be comma-separated integers, got {seeds!r}") from exc
-        cmd_eval(cfg, benchmark_dir, method_list, seed_list, out_csv, out_json)
-    _exit_on_error(run)
+    cfg = load_config(config_path)
+    method_list = [m.strip() for m in methods.split(",") if m.strip()]
+    try:
+        seed_list = [int(s) for s in seeds.split(",") if s.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"--seeds must be comma-separated integers, got {seeds!r}") from exc
+    cmd_eval(cfg, benchmark_dir, method_list, seed_list, out_csv, out_json)
 
 
 if __name__ == "__main__":

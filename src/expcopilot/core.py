@@ -148,7 +148,10 @@ class Task:
         if not self.description:
             raise ValidationError(f"task '{self.task_id}': description must be non-empty")
         if self.meta_features is not None:
-            object.__setattr__(self, "meta_features", tuple(float(x) for x in self.meta_features))
+            features = tuple(float(x) for x in self.meta_features)
+            if not all(map(math.isfinite, features)):
+                raise ValidationError(f"task '{self.task_id}': meta-features must be finite")
+            object.__setattr__(self, "meta_features", features)
 
 
 @dataclass(frozen=True, init=False)
@@ -248,11 +251,6 @@ class Discretizer:
         """Labels of the surviving bins: the centered subset of the level lexicon."""
         return _centered_subset(self.level_labels, len(self.split_points) + 1)
 
-    def ordinal(self, label: str) -> int:
-        if label not in self.level_labels:
-            raise ValidationError(f"unknown level '{label}' for parameter '{self.parameter}'")
-        return self.level_labels.index(label)
-
     def discretize(self, x: float) -> str:
         """Map a real to the label of its bin; values beyond the outer splits clamp."""
         x = float(x)
@@ -275,18 +273,16 @@ class Discretizer:
         return self.representatives[best]
 
 
-def fit_discretizer(values: Iterable[float], param: ParameterDef, n_levels: int = 5) -> Discretizer:
-    """Fit quantile split points and per-bin representatives on best-solution statistics.
+def fit_discretizer(values: Iterable[float], param: ParameterDef) -> Discretizer:
+    """Fit five-level quantile split points and per-bin representatives on best-solution statistics.
 
-    Split points sit at the 1/n..(n-1)/n empirical quantiles (linear interpolation
+    Split points sit at the 1/5..4/5 empirical quantiles (linear interpolation
     between order statistics), computed in log10 domain for log-scale parameters.
     Duplicate or non-separating split points are dropped; surviving bins are
-    relabeled to the centered subset of the level lexicon.
+    relabeled to the centered subset of the five levels.
     """
     if param.kind != "numeric":
         raise ValidationError(f"parameter '{param.name}' is not numeric")
-    if n_levels < 2:
-        raise ValidationError("n_levels must be at least 2")
     vals = np.asarray(list(values), dtype=float)
     if vals.size == 0:
         raise ValidationError(f"no best-solution statistics for parameter '{param.name}'")
@@ -297,7 +293,7 @@ def fit_discretizer(values: Iterable[float], param: ParameterDef, n_levels: int 
     vals = np.asarray(sorted(vals.tolist(), key=lambda v: (v, math.copysign(1.0, v))))
 
     work = np.log10(vals) if param.log_scale else vals
-    probs = [i / n_levels for i in range(1, n_levels)]
+    probs = [i / len(DEFAULT_LEVELS) for i in range(1, len(DEFAULT_LEVELS))]
     raw_splits = np.quantile(work, probs)
     if param.log_scale:
         raw_splits = np.power(10.0, raw_splits)
@@ -309,11 +305,7 @@ def fit_discretizer(values: Iterable[float], param: ParameterDef, n_levels: int 
         if s > vmin and (not splits or s > splits[-1]):
             splits.append(float(s))
 
-    if n_levels == len(DEFAULT_LEVELS):
-        labels = DEFAULT_LEVELS
-    else:
-        labels = tuple(f"level {i + 1}" for i in range(n_levels))
-    bin_labels = _centered_subset(labels, len(splits) + 1)
+    bin_labels = _centered_subset(DEFAULT_LEVELS, len(splits) + 1)
 
     edges_lo = [lo] + splits
     edges_hi = splits + [hi]
@@ -333,7 +325,6 @@ def fit_discretizer(values: Iterable[float], param: ParameterDef, n_levels: int 
     return Discretizer(
         parameter=param.name,
         split_points=tuple(splits),
-        level_labels=labels,
         representatives=reps,
         fitted_in_log=param.log_scale,
     )

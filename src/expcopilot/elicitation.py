@@ -55,6 +55,8 @@ class ElicitationConfig:
             raise ValidationError("val_fraction must be within (0, 1)")
         if self.subset_size < 1:
             raise ValidationError("subset_size must be at least 1")
+        if self.max_tokens < 1:
+            raise ValidationError("max_tokens must be at least 1")
         object.__setattr__(self, "questions", tuple(self.questions))
 
 

@@ -3,6 +3,7 @@
 
 class ExpCopilotError(Exception):
     """Base class for all errors raised by this package."""
+    exit_code = 2  # the CLI's exit status for this error
 
 
 class ValidationError(ExpCopilotError):
@@ -15,14 +16,12 @@ class ConfigError(ExpCopilotError):
 
 class GatewayError(ExpCopilotError):
     """A completion or embedding backend failed."""
+    exit_code = 3
 
 
 class ParseError(ExpCopilotError):
     """A model response could not be parsed into valid configurations."""
-
-    def __init__(self, message: str, clauses: list[str] | None = None):
-        super().__init__(message)
-        self.clauses = clauses or []
+    exit_code = 4
 
 
 class BenchmarkError(ExpCopilotError):

@@ -33,18 +33,17 @@ ELICITATION_MARKER = "what patterns can we observe"
 CONFIG_LINE = re.compile(r"^\s*configuration\s+\d+\s*:\s*(?P<body>.*)$", re.IGNORECASE)
 
 
-def estimate_tokens(text: str, chars_per_token: int = 4) -> int:
+CHARS_PER_TOKEN = 4  # of the prompt-budget estimate
+
+
+def estimate_tokens(text: str) -> int:
     """Token-count heuristic used for prompt budgeting: ceil(chars / 4)."""
-    if chars_per_token < 1:
-        raise ValidationError("chars_per_token must be at least 1")
-    return -(-len(text) // chars_per_token)
+    return -(-len(text) // CHARS_PER_TOKEN)
 
 
-def max_prompt_chars(budget: int, chars_per_token: int = 4) -> int:
+def max_prompt_chars(budget: int) -> int:
     """The longest text `estimate_tokens` keeps within `budget`: ceil(L / c) <= B iff L <= B * c."""
-    if chars_per_token < 1:
-        raise ValidationError("chars_per_token must be at least 1")
-    return budget * chars_per_token
+    return budget * CHARS_PER_TOKEN
 
 
 @dataclass(frozen=True)
@@ -129,10 +128,6 @@ class ScriptedBackend:
         self.completion_calls = 0
         self.embed_calls = 0
         self._lock = threading.Lock()
-
-    @property
-    def embed_model_tag(self) -> str:
-        return f"hashed-bow-{self.embed_dim}"
 
     def complete(self, req: CompletionRequest) -> str:
         with self._lock:

@@ -30,6 +30,9 @@ class EmbeddingVector:
         if len(self.values) == 0:
             raise ValidationError("embedding must be non-empty")
         object.__setattr__(self, "values", tuple(map(float, self.values)))
+        with np.errstate(over="ignore"):
+            if not math.isfinite(self.norm):
+                raise ValidationError("embedding values and their norm must be finite")
 
     @cached_property
     def array(self) -> np.ndarray:

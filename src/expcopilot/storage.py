@@ -7,6 +7,7 @@ reproduces identical bytes.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -247,7 +248,10 @@ def read_pool_rows(path: str | Path) -> list[tuple[str, float, dict]]:
             raise KeyError(f"a pool record needs the fields {sorted(fields)}")
         if not (isinstance(d["task_id"], str) and isinstance(d["discrete_solution"], dict)):
             raise TypeError("task_id must be a string and discrete_solution an object")
-        return d["task_id"], float(d["metric"]), d
+        metric = float(d["metric"])
+        if not math.isfinite(metric):
+            raise ValueError(f"metric must be finite, got {metric!r}")
+        return d["task_id"], metric, d
     return _load_records(path, parse)
 
 

@@ -29,7 +29,6 @@ class SuggestionConfig:
     task_kind: str = "classification dataset"
     max_tokens: int = 512
     stop_sequences: tuple[str, ...] | None = ("\n\nDataset:",)
-    chars_per_token: int = 4
 
     def __post_init__(self):
         if self.n_suggestions < 1:
@@ -40,7 +39,9 @@ class SuggestionConfig:
             raise ValidationError("token_budget must be at least 256")
         if not (0.0 <= self.temperature <= 1.0):
             raise ValidationError("temperature must be within [0, 1]")
-        if self.k_tasks != FILL_BUDGET and (not isinstance(self.k_tasks, int) or self.k_tasks < 1):
+        if self.max_tokens < 1:
+            raise ValidationError("max_tokens must be at least 1")
+        if self.k_tasks != FILL_BUDGET and (type(self.k_tasks) is not int or self.k_tasks < 1):
             raise ValidationError(f"k_tasks must be a positive integer or '{FILL_BUDGET}'")
         if self.stop_sequences is not None:
             object.__setattr__(self, "stop_sequences", tuple(self.stop_sequences))
@@ -84,13 +85,10 @@ def build_suggestion_prompt(
 
     Demonstration blocks are taken most-similar-first, stopping at the first
     one that would push the prompt past `max_prompt_chars`, the length limit
-    of the ceil(chars / chars_per_token) estimate; the prompt is joined once.
-    The result is the prompt with the most demonstrations that fits: the
-    prompt grows with every block, and the one without demonstrations is the
-    shortest.
+    of the ceil(chars / 4) estimate; the prompt is joined once. The result is
+    the prompt with the most demonstrations that fits: the prompt grows with
+    every block, and the one without demonstrations is the shortest.
     """
-    if cfg.k_tasks != FILL_BUDGET:
-        demos = list(demos)[: cfg.k_tasks]
 
     def tail(have_demos: bool) -> str:
         parts = []
@@ -104,7 +102,7 @@ def build_suggestion_prompt(
     sections = [space.description]
     demo_tail = tail(True)
     # Characters left for demonstration blocks; every section after the first adds a "\n\n".
-    room = max_prompt_chars(cfg.token_budget, cfg.chars_per_token)
+    room = max_prompt_chars(cfg.token_budget)
     room -= len(space.description) + 2 + len(demo_tail)
     for entry in demos:
         block = entry.block(cfg.demos_per_task)
@@ -114,7 +112,7 @@ def build_suggestion_prompt(
         sections.append(block)
     sections.append(demo_tail if len(sections) > 1 else tail(False))
     prompt = "\n\n".join(sections)
-    if estimate_tokens(prompt, cfg.chars_per_token) > cfg.token_budget:
+    if estimate_tokens(prompt) > cfg.token_budget:
         raise ValidationError(
             f"budget exhausted: {cfg.token_budget} tokens cannot fit the prompt even "
             "without demonstrations"
@@ -174,9 +172,7 @@ def parse_solutions(
                 current[param.name] = match
         configs.append(current)
     if problems:
-        raise ParseError(
-            "unparseable configuration response: " + "; ".join(problems), clauses=problems
-        )
+        raise ParseError("unparseable configuration response: " + "; ".join(problems))
     if not configs:
         raise ParseError("zero parseable configurations in response")
     return configs[:expected_n]

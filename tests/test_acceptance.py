@@ -118,7 +118,7 @@ def test_criterion_3_discretizer_suite():
         values = rng.uniform(0.0, 1000.0, size=int(rng.integers(2, 40)))
         d = fit_discretizer(values, param)
         xs = np.sort(rng.uniform(-100.0, 1100.0, size=25))
-        ordinals = [d.ordinal(d.discretize(x)) for x in xs]
+        ordinals = [d.level_labels.index(d.discretize(x)) for x in xs]
         assert ordinals == sorted(ordinals)
         for label in d.bin_labels:
             if any(d.discretize(v) == label for v in values):

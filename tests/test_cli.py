@@ -13,6 +13,7 @@ import synth
 from expcopilot import bench, cli, storage
 from expcopilot.cli import main
 from expcopilot.core import Task
+from expcopilot.errors import GatewayError, ParseError, ValidationError
 from expcopilot.gateway import ScriptedBackend, prompt_sha256
 from expcopilot.retrieval import EmbeddingVector, PoolEntry, hashed_bow_embedding
 
@@ -334,7 +335,8 @@ class TestSuggest:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert f"error: {cassette}: replay cassette is not UTF-8" in result.stderr
 
-    def test_stale_embedding_cache_is_refreshed(self, runner, ingest_inputs, new_task_file, tmp_path):
+    def test_stale_embedding_cache_exits_2(self, runner, ingest_inputs, new_task_file, tmp_path):
+        # Embeddings from another model cannot be compared with the query's: re-ingest.
         pool = run_ingest(runner, ingest_inputs, tmp_path / "pool")
         cache_file = pool / "embeddings.jsonl"
         stale = cache_file.read_text().replace("hashed-bow-256", "old-embedder")
@@ -343,9 +345,27 @@ class TestSuggest:
             main,
             ["suggest", "--task-file", str(new_task_file), "--pool", str(pool)],
         )
-        assert result.exit_code == 0, result.output
-        rows = [json.loads(line) for line in result.stdout.splitlines() if line.strip()]
-        assert len(rows) == 3
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "error: embedding model mismatch" in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("metric", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_pool_metric_exits_2(
+        self, runner, ingest_inputs, new_task_file, tmp_path, metric
+    ):
+        # A NaN metric would misorder even the finite rows of its task.
+        pool = run_ingest(runner, ingest_inputs, tmp_path / "pool")
+        lines = (pool / "pool.jsonl").read_text().splitlines()
+        lines[4] = json.dumps({**json.loads(lines[4]), "metric": float(metric)})  # NaN, Infinity
+        (pool / "pool.jsonl").write_text("\n".join(lines) + "\n")
+        result = runner.invoke(
+            main, ["suggest", "--task-file", str(new_task_file), "--pool", str(pool)]
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "pool.jsonl:5: malformed record" in result.stderr
+        assert "metric must be finite" in result.stderr
 
     def test_pool_without_discretizers_exits_2(self, runner, ingest_inputs, new_task_file, tmp_path):
         pool = run_ingest(runner, ingest_inputs, tmp_path / "pool")
@@ -670,6 +690,11 @@ class TestEval:
             ({"backend": {"kind": "scripted", "embed_dim": 0}}, "0"),
             ({"eval": {"use_knowledge": "no"}}, "0"),
             ({"eval": {"use_knowledge": 1}}, "0"),
+            # Each would fail every fold, not the config, if it loaded.
+            ({"suggestion": {"chars_per_token": 0}}, "0"),
+            ({"suggestion": {"max_tokens": 0}}, "0"),
+            ({"suggestion": {"k_tasks": True}}, "0"),
+            ({"elicitation": {"max_tokens": 0}}, "0"),
         ],
     )
     def test_bad_config_or_option_exits_2(self, runner, synth_dir, tmp_path, config, seeds):
@@ -695,6 +720,49 @@ class TestEval:
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("error: cannot read config")
+
+
+class TestErrorExit:
+    COMMANDS = {
+        "ingest": ["--history", "{f}", "--space", "{f}", "--tasks", "{f}", "--out", "{d}"],
+        "elicit": ["--pool", "{f}", "--benchmark", "{f}", "--out", "{d}/k.jsonl"],
+        "suggest": ["--task-file", "{f}", "--pool", "{f}"],
+        "eval": ["--benchmark", "{f}", "--seeds", "0"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize(
+        "error, code", [(ValidationError, 2), (GatewayError, 3), (ParseError, 4)]
+    )
+    def test_each_command_maps_errors_to_exit_codes(
+        self, runner, tmp_path, monkeypatch, command, error, code
+    ):
+        def fail(*args, **kwargs):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, f"cmd_{command}", fail)
+        path = tmp_path / "input"
+        path.write_text("")
+        args = [a.format(f=path, d=tmp_path) for a in self.COMMANDS[command]]
+        result = runner.invoke(main, [command, *args])
+        assert result.exit_code == code, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == "error: boom\n"
+        assert "Traceback" not in result.output
+
+    def test_backend_option_keeps_the_other_backend_settings(
+        self, runner, new_task_file, tmp_path, monkeypatch
+    ):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_suggest", lambda cfg, *args: seen.append(cfg.backend))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"backend": {"kind": "http", "model": "m", "timeout": 5}}))
+        result = runner.invoke(main, [
+            "suggest", "--config", str(config), "--task-file", str(new_task_file),
+            "--pool", str(tmp_path), "--backend", "replay", "--cassette", "c.jsonl",
+        ])
+        assert result.exit_code == 0, result.output
+        assert seen == [{"kind": "replay", "model": "m", "timeout": 5, "cassette": "c.jsonl"}]
 
 
 def reference_build_entries(tasks, pool_path, embeddings, direction, per_task):
@@ -723,7 +791,7 @@ def reference_build_entries(tasks, pool_path, embeddings, direction, per_task):
 
 
 def entry_view(entries):
-    # repr keeps NaN and -0.0 metrics comparable.
+    # repr keeps -0.0 metrics apart from 0.0.
     return [
         (
             e.task.task_id,
@@ -735,9 +803,10 @@ def entry_view(entries):
     ]
 
 
+# read_pool_rows rejects non-finite metrics, so only finite ones (with signed zeros and ties) rank.
 _POOL_METRICS = st.one_of(
-    st.sampled_from([0.0, -0.0, 0.5, 1.0, float("nan")]),
-    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 0.5, 1.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
 )
 
 

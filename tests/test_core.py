@@ -207,7 +207,7 @@ class TestDiscretize:
             values = rng.uniform(0, 100, size=rng.integers(3, 40))
             d = fit_discretizer(values, linear_param())
             xs = np.sort(rng.uniform(-20, 120, size=100))
-            ordinals = [d.ordinal(d.discretize(x)) for x in xs]
+            ordinals = [d.level_labels.index(d.discretize(x)) for x in xs]
             assert ordinals == sorted(ordinals)
 
 
@@ -317,6 +317,14 @@ class TestExperienceRecord:
         solution = Solution(svm_space, {"cost": 1.0, "gamma": 0.01, "kernel": "radial"})
         with pytest.raises(ValidationError, match="finite"):
             ExperienceRecord(task=task, solution=solution, metric=float("inf"))
+
+
+class TestTask:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_meta_feature_rejected(self, bad):
+        # A NaN feature would make the nearest-task baseline sort NaN distances.
+        with pytest.raises(ValidationError, match="meta-features must be finite"):
+            Task(task_id="t", space_id="s", description="d", meta_features=(0.5, bad))
 
 
 class TestCanonicalExperienceInvariant:

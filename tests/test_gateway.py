@@ -32,13 +32,10 @@ class TestEstimateTokens:
         assert estimate_tokens("abcde") == 2
         assert estimate_tokens("") == 0
 
-    def test_configurable_ratio(self):
-        assert estimate_tokens("abcdefgh", chars_per_token=2) == 4
-
-    @given(st.integers(0, 5000), st.integers(1, 8), st.integers(0, 1000))
-    def test_max_prompt_chars_is_the_estimate_limit(self, length, chars_per_token, budget):
-        fits = estimate_tokens("x" * length, chars_per_token) <= budget
-        assert fits == (length <= max_prompt_chars(budget, chars_per_token))
+    @given(st.integers(0, 5000), st.integers(0, 1000))
+    def test_max_prompt_chars_is_the_estimate_limit(self, length, budget):
+        fits = estimate_tokens("x" * length) <= budget
+        assert fits == (length <= max_prompt_chars(budget))
 
 
 class TestCompletionRequest:

@@ -26,6 +26,21 @@ def vec(*values, tag="test"):
     return EmbeddingVector(values=tuple(float(v) for v in values), model_tag=tag)
 
 
+class TestEmbeddingVector:
+    @pytest.mark.parametrize(
+        "values",
+        [(1.0, float("nan")), (float("inf"), 0.0), (-float("inf"), 1.0), (1e200,) * 4],
+        ids=["nan", "inf", "-inf", "norm-overflow"],
+    )
+    def test_non_finite_values_or_norm_rejected(self, values):
+        # Such a vector would score NaN or 0.0, and where it ranked would depend on pool order.
+        with pytest.raises(ValidationError, match="finite"):
+            vec(*values)
+
+    def test_large_finite_norm_accepted(self):
+        assert vec(1e150, 1e150).norm == pytest.approx(math.sqrt(2) * 1e150)
+
+
 class TestCosine:
     def test_identity(self):
         a = vec(0.2, 0.5, 1.0)

@@ -18,10 +18,9 @@ from expcopilot.core import (
     verbalize_solution,
 )
 from expcopilot.errors import ParseError, ValidationError
-from expcopilot.gateway import NearestNeighborPolicy, ScriptedBackend, estimate_tokens
+from expcopilot.gateway import CHARS_PER_TOKEN, NearestNeighborPolicy, ScriptedBackend, estimate_tokens
 from expcopilot.retrieval import EmbeddingVector, KnowledgeItem, PoolEntry
 from expcopilot.suggestion import (
-    FILL_BUDGET,
     SuggestionConfig,
     _instruction,
     build_suggestion_prompt,
@@ -40,8 +39,6 @@ def prompt_sections(prompt):
 
 def reference_prompt(space, task, demos, knowledge, cfg):
     """The quadratic builder the single pass replaced: re-join every prefix, longest first."""
-    if cfg.k_tasks != FILL_BUDGET:
-        demos = list(demos)[: cfg.k_tasks]
 
     def assemble(m):
         parts = [space.description]
@@ -55,7 +52,7 @@ def reference_prompt(space, task, demos, knowledge, cfg):
 
     for m in range(len(demos), -1, -1):
         prompt = assemble(m)
-        if estimate_tokens(prompt, cfg.chars_per_token) <= cfg.token_budget:
+        if estimate_tokens(prompt) <= cfg.token_budget:
             return prompt
     raise ValidationError("budget exhausted")
 
@@ -127,10 +124,11 @@ class TestBuildSuggestionPrompt:
     def test_k_tasks_caps_demonstrations(
         self, svm_space, online_demo_entries, guideline_items, gina_task
     ):
-        prompt = build_suggestion_prompt(
-            svm_space, gina_task, online_demo_entries, guideline_items,
-            SuggestionConfig(k_tasks=1),
-        )
+        # retrieve_demos makes the k_tasks cut; the prompt shows what it keeps.
+        cfg = SuggestionConfig(k_tasks=1)
+        demos = retrieve_demos(gina_task, online_demo_entries, cfg, ScriptedBackend())
+        assert len(demos) == 1
+        prompt = build_suggestion_prompt(svm_space, gina_task, demos, guideline_items, cfg)
         assert prompt.count("Dataset:") == 2  # one demo block plus the query
 
     def test_section_order_is_fixed(
@@ -155,32 +153,28 @@ class TestBuildSuggestionPrompt:
         knowledge=st.lists(_words, max_size=3),
         budget=st.integers(256, 1200),
         edge=st.one_of(st.none(), st.tuples(st.integers(0, 12), st.integers(-1, 1))),
-        chars_per_token=st.integers(1, 8),
         demos_per_task=st.integers(1, 4),
-        k_tasks=st.one_of(st.just(FILL_BUDGET), st.integers(1, 12)),
         n_suggestions=st.integers(1, 5),
     )
     @settings(max_examples=300, deadline=None)
     def test_single_pass_matches_prefix_loop(
-        self, space_text, query, demos, knowledge, budget, edge, chars_per_token,
-        demos_per_task, k_tasks, n_suggestions,
+        self, space_text, query, demos, knowledge, budget, edge, demos_per_task, n_suggestions,
     ):
         if edge is not None:
             # Pad the description so every prompt is over the minimum budget.
-            space_text = "p" * 256 * chars_per_token + space_text
+            space_text = "p" * 256 * CHARS_PER_TOKEN + space_text
         space = SolutionSpace("s", space_text, ())
         task = Task(task_id="query", space_id="s", description=query)
         entries = [text_entry(i, d, texts) for i, (d, texts) in enumerate(demos)]
         items = [KnowledgeItem("s", text, 0.0) for text in knowledge]
         cfg = SuggestionConfig(
-            n_suggestions=n_suggestions, k_tasks=k_tasks, demos_per_task=demos_per_task,
-            token_budget=10**9, chars_per_token=chars_per_token,
+            n_suggestions=n_suggestions, demos_per_task=demos_per_task, token_budget=10**9,
         )
         if edge is not None:
             # Put the budget at, or one token beside, the size of the prompt with m demos.
             m, slack = edge
             sized = reference_prompt(space, task, entries[:m], items, cfg)
-            budget = estimate_tokens(sized, chars_per_token) + slack
+            budget = estimate_tokens(sized) + slack
         cfg = replace(cfg, token_budget=budget)
         try:
             expected = reference_prompt(space, task, entries, items, cfg)
@@ -209,12 +203,6 @@ class TestBuildSuggestionPrompt:
         kept = prompt.count("\n\nDataset: ") - 1
         assert 0 < kept < len(entries)
         assert len(checks) == kept + 1
-
-    def test_zero_chars_per_token_rejected(self, svm_space, online_demo_entries, gina_task):
-        with pytest.raises(ValidationError, match="chars_per_token must be at least 1"):
-            build_suggestion_prompt(
-                svm_space, gina_task, online_demo_entries, [], SuggestionConfig(chars_per_token=0)
-            )
 
     def test_n_suggestions_substituted(self, svm_space, online_demo_entries, gina_task):
         prompt = build_suggestion_prompt(
