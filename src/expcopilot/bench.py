@@ -12,7 +12,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 from pathlib import Path
 from typing import Collection, Mapping, NamedTuple, Sequence
 
@@ -34,7 +34,7 @@ from .core import (
 )
 from .elicitation import ElicitationConfig, elicit_knowledge
 from .errors import BenchmarkError, ConfigError, ExpCopilotError, ValidationError
-from .retrieval import PoolEntry
+from .retrieval import EmbeddingVector, PoolEntry
 from .storage import load_space, load_tasks, read_jsonl
 from .suggestion import SuggestionConfig, retrieve_demos, suggest
 
@@ -321,14 +321,21 @@ def _levels_changed(entry: PoolEntry, rows: Sequence[Row], discretizers: Mapping
 
 @dataclass
 class FoldCache:
-    """The fits and pool entries that the folds of one leave-one-out sweep share.
+    """The fits, pool entries and vectors that the folds of one leave-one-out sweep share.
 
-    A cache serves the benchmark of its first fold only.
+    A cache serves the benchmark and the records per task of its first fold only.
     """
 
     fits: dict[tuple, Discretizer] = field(default_factory=dict)
     entries: dict[str, tuple[PoolEntry, tuple]] = field(default_factory=dict)
-    bound: Benchmark | None = None
+    vectors: dict[str, EmbeddingVector] = field(default_factory=dict)
+    bound: tuple[Benchmark, int] | None = None
+
+    def embed(self, backend, text: str) -> EmbeddingVector:
+        """`backend.embed(text)`, asked once per cache; a failed embedding is not stored."""
+        if text not in self.vectors:
+            self.vectors[text] = backend.embed(text)
+        return self.vectors[text]
 
 
 def build_fold_artifacts(
@@ -336,27 +343,29 @@ def build_fold_artifacts(
     train_ids: Sequence[str],
     backend,
     cache: FoldCache | None = None,
+    per_task: int = TOP_RECORDS,
 ):
     """Offline artifacts for one leave-one-out fold: pool entries and discretizers.
 
-    Discretizers are fitted on the union of the `TOP_RECORDS` best records per
-    training task only, as ingest fits on every task's, so nothing from a
-    held-out task leaks into canonicalization; the training ids must be
-    distinct tasks of `b`. `cache` carries work across the folds of one sweep
-    over `b`: each distinct multiset of fitting values (-0.0 apart from 0.0) is
-    fitted once. With `b` fixed, the rows a fold leaves out fix its fitting
-    multiset, so the memo is keyed by the held-out values (as `float.hex`) and
-    the training values are gathered only for a new fit. Canonical records
-    depend on the discretizers only through the split signature, (split
-    points, level labels) per parameter, so an entry last built or checked
-    under this fold's signature is reused as is, and under another only if its
-    records' numeric values keep their levels. Otherwise it is rebuilt with its
-    embedding, so each task is embedded once per cache.
+    Each entry holds its task's `per_task` best records. Discretizers are
+    fitted on the union of the `TOP_RECORDS` best records per training task
+    only, as ingest fits on every task's, so nothing from a held-out task
+    leaks into canonicalization; the training ids must be distinct tasks of
+    `b`. `cache` carries work across the folds of one sweep over `b`: each
+    distinct multiset of fitting values (-0.0 apart from 0.0) is fitted once,
+    and each description is embedded once. With `b` fixed, the rows a fold
+    leaves out fix its fitting multiset, so the memo is keyed by the held-out
+    values (as `float.hex`) and the training values are gathered only for a
+    new fit. Canonical records depend on the discretizers only through the
+    split signature, (split points, level labels) per parameter, so an entry
+    last built or checked under this fold's signature is reused as is, and
+    under another only if its records' numeric values keep their levels.
+    Otherwise it is rebuilt.
     """
     cache = FoldCache() if cache is None else cache
-    cache.bound = cache.bound or b
-    if cache.bound is not b:
-        raise ValidationError("a FoldCache serves one benchmark")
+    cache.bound = cache.bound or (b, per_task)
+    if cache.bound[0] is not b or cache.bound[1] != per_task:
+        raise ValidationError("a FoldCache serves one benchmark and one count of records per task")
     train = set(train_ids)
     held = [t.task_id for t in b.tasks if t.task_id not in train]
     if len(held) + len(train_ids) != len(b.tasks):
@@ -379,12 +388,12 @@ def build_fold_artifacts(
     for tid in train_ids:
         entry, checked = cache.entries.get(tid, (None, None))
         if checked != signature:
-            rows = b.ranked_rows[tid][:TOP_RECORDS]
+            rows = b.ranked_rows[tid][:per_task]
             if entry is None or _levels_changed(entry, rows, discretizers):
                 task = b.task(tid)
                 entry = PoolEntry(
                     task=task,
-                    embedding=backend.embed(task.description) if entry is None else entry.embedding,
+                    embedding=cache.embed(backend, task.description),
                     experiences=[
                         canonicalize(ExperienceRecord(task, row.solution, row.metric), b.space, discretizers)
                         for row in rows
@@ -469,14 +478,13 @@ def _copilot_solutions(
     cache: FoldCache,
     prompt_sink: list | None,
 ) -> list[Solution]:
-    pool, discretizers = build_fold_artifacts(b, train_ids, backend, cache)
+    pool, discretizers = build_fold_artifacts(b, train_ids, backend, cache, cfg.suggestion.demos_per_task)
     twins = [b.task(tid) for tid in b.twins.get(task.task_id, ())]
     sug_cfg = replace(cfg.suggestion, task_kind=b.task_kind)
     knowledge = []
     if cfg.use_knowledge:
-        e_cfg = replace(cfg.elicitation, seed=derive_seed(seed, f"elicit:{task.task_id}"))
         best, trace = elicit_knowledge(
-            pool, b.space, b, e_cfg, backend,
+            pool, b.space, b, cfg.elicitation, backend, seed=derive_seed(seed, f"elicit:{task.task_id}"),
             suggestion_config=sug_cfg, discretizers=discretizers,
         )
         knowledge = [best]
@@ -484,7 +492,7 @@ def _copilot_solutions(
             _assert_no_leakage(record.prompt, task, twins)
             if prompt_sink is not None:
                 prompt_sink.append((task.task_id, record.prompt))
-    demos = retrieve_demos(task, pool, sug_cfg, backend, exclude=held)
+    demos = retrieve_demos(cache.embed(backend, task.description), pool, sug_cfg, exclude=held)
     result = suggest(
         task, demos, knowledge, b.space, discretizers, sug_cfg, backend,
         fallback=lambda: baseline_constant(b, train_ids, cfg.suggestion.n_suggestions),
@@ -494,17 +502,6 @@ def _copilot_solutions(
     if prompt_sink is not None:
         prompt_sink.append((task.task_id, scanned))
     return result.solutions
-
-
-class _EmbedOnce:
-    """`backend` with `embed` memoized by text; a failed embedding is not cached."""
-
-    def __init__(self, backend):
-        self._backend = backend
-        self.embed = lru_cache(maxsize=None)(backend.embed)
-
-    def __getattr__(self, name):
-        return getattr(self._backend, name)
 
 
 def run_loo_eval(
@@ -517,16 +514,14 @@ def run_loo_eval(
 ) -> EvalReport:
     """Leave-one-out sweep: hold each task out, suggest for it, score metric@{1,2,3}.
 
-    Offline artifacts come from the `TOP_RECORDS` best records of the
-    remaining tasks only; twins of the held-out task are excluded as well. One
-    `FoldCache` serves the sweep: each distinct fitting multiset is fitted
-    once, and each task's pool entry is rebuilt only when the split points move
-    its records' levels (see `build_fold_artifacts`). The backend's `embed` is
-    memoized by text for the sweep, so each description is embedded once: the
-    held-out queries and elicitation's validation queries reuse the pool's
-    vectors, and an embedding that failed is asked for again by the next fold
-    that needs it. A method failure on a task is recorded as the worst score
-    and flagged instead of aborting the sweep.
+    Offline artifacts come from the best records of the remaining tasks only
+    (`TOP_RECORDS` to fit on, `demos_per_task` to demonstrate); twins of the
+    held-out task are excluded as well. One `FoldCache` serves the sweep: each
+    distinct fitting multiset is fitted once, each description is embedded
+    once, and each task's pool entry is rebuilt only when the split points
+    move its records' levels (see `build_fold_artifacts`). A method failure on
+    a task is recorded as the worst score and flagged instead of aborting the
+    sweep.
     """
     cfg = cfg or EvalConfig()
     if method not in METHODS:
@@ -539,8 +534,6 @@ def run_loo_eval(
     if n < 3:
         raise ConfigError("evaluation scores metric@{1,2,3}; configure n_suggestions >= 3")
 
-    if backend is not None:
-        backend = _EmbedOnce(backend)
     rows: list[EvalRow] = []
     cache = FoldCache()
     for seed in seeds:

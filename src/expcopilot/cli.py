@@ -30,7 +30,7 @@ class AppConfig:
     backend: dict = field(default_factory=lambda: {"kind": "scripted"})
     suggestion: SuggestionConfig = field(default_factory=SuggestionConfig)
     elicitation: ElicitationConfig = field(default_factory=ElicitationConfig)
-    eval: dict = field(default_factory=dict)
+    use_knowledge: bool = False  # the config's eval.use_knowledge
 
 
 def load_config(path: str | None) -> AppConfig:
@@ -43,13 +43,17 @@ def load_config(path: str | None) -> AppConfig:
         if not isinstance(raw, dict):
             raise ConfigError(f"invalid config {path}: expected a JSON object")
     try:
+        eval_section = dict(raw.get("eval", {}))
+        use_knowledge = eval_section.pop("use_knowledge", False)
+        if eval_section or not isinstance(use_knowledge, bool):
+            raise ConfigError(f"invalid config {path}: eval takes only use_knowledge, true or false")
         cfg = AppConfig(
             seed=int(raw.get("seed", 0)),
             direction=check_direction(raw.get("direction", "higher")),
             backend=dict(raw.get("backend", {"kind": "scripted"})),
             suggestion=SuggestionConfig(**dict(raw.get("suggestion", {}))),
             elicitation=ElicitationConfig(**dict(raw.get("elicitation", {}))),
-            eval=dict(raw.get("eval", {})),
+            use_knowledge=use_knowledge,
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config {path}: {exc}") from exc
@@ -141,9 +145,8 @@ def cmd_elicit(cfg: AppConfig, pool_dir, benchmark_dir, out_knowledge, out_trace
     benchmark = bench.load_benchmark(benchmark_dir)
     entries = _build_entries(tasks, pool_path, embeddings, cfg.direction, cfg.suggestion.demos_per_task)
     backend = backend_from_config(cfg.backend)
-    e_cfg = replace(cfg.elicitation, seed=derive_seed(cfg.seed, "elicit"))
     best, trace = elicit_knowledge(
-        entries, space, benchmark, e_cfg, backend,
+        entries, space, benchmark, cfg.elicitation, backend, seed=derive_seed(cfg.seed, "elicit"),
         suggestion_config=cfg.suggestion, discretizers=discretizers,
     )
     storage.save_knowledge([best], out_knowledge)
@@ -163,7 +166,7 @@ def cmd_suggest(
     backend = backend_from_config(cfg.backend)
     entries = _build_entries(tasks, pool_path, embeddings, cfg.direction, cfg.suggestion.demos_per_task)
     knowledge = storage.load_knowledge(knowledge_path) if knowledge_path else []
-    demos = retrieve_demos(task, entries, cfg.suggestion, backend, exclude={task.task_id})
+    demos = retrieve_demos(backend.embed(task.description), entries, cfg.suggestion, exclude={task.task_id})
     result = suggest(task, demos, knowledge, space, discretizers, cfg.suggestion, backend)
     if show_prompt:
         click.echo(result.prompt, err=True)
@@ -180,13 +183,10 @@ def cmd_eval(cfg: AppConfig, benchmark_dir, methods, seeds, out_csv, out_json) -
     """Run the leave-one-out sweep for each method and write CSV + JSON reports."""
     benchmark = bench.load_benchmark(benchmark_dir)
     backend = backend_from_config(cfg.backend)
-    use_knowledge = cfg.eval.get("use_knowledge", False)
-    if not isinstance(use_knowledge, bool):
-        raise ConfigError(f"eval.use_knowledge must be true or false, got {use_knowledge!r}")
     eval_cfg = bench.EvalConfig(
         suggestion=cfg.suggestion,
         elicitation=cfg.elicitation,
-        use_knowledge=use_knowledge,
+        use_knowledge=cfg.use_knowledge,
     )
     for out in (out_csv, out_json):
         if Path(out).is_dir():

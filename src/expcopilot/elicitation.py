@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence, TypeVar
 
 from .core import Discretizer, SolutionSpace, Task
 from .errors import ConfigError, ElicitationError, ExpCopilotError, GatewayError, ValidationError
@@ -41,7 +41,6 @@ class ElicitationConfig:
     questions: tuple[str, ...] = DEFAULT_QUESTIONS
     subset_size: int = 3
     val_fraction: float = 0.10
-    seed: int = 0
     max_tokens: int = 512
 
     def __post_init__(self):
@@ -75,21 +74,24 @@ class ElicitationRound:
     error: str | None = None
 
 
+T = TypeVar("T")
+
+
 def split_validation(
-    tasks: Sequence[Task], val_fraction: float, seed: int
-) -> tuple[list[Task], list[Task]]:
-    """Seeded split into (train, validation); validation gets ceil(fraction * N) tasks."""
-    if len(tasks) < 2:
+    items: Sequence[T], val_fraction: float, seed: int
+) -> tuple[list[T], list[T]]:
+    """Seeded split by index into (train, validation); validation gets ceil(fraction * N) items."""
+    if len(items) < 2:
         raise ValidationError("need at least 2 tasks to split off a validation set")
     if not (0.0 < val_fraction < 1.0):
         raise ValidationError("val_fraction must be within (0, 1)")
-    n_val = math.ceil(val_fraction * len(tasks))
-    n_val = min(n_val, len(tasks) - 1)  # train must stay non-empty
+    n_val = math.ceil(val_fraction * len(items))
+    n_val = min(n_val, len(items) - 1)  # train must stay non-empty
     rng = random.Random(seed)
-    chosen = sorted(rng.sample(range(len(tasks)), n_val))
+    chosen = sorted(rng.sample(range(len(items)), n_val))
     chosen_set = set(chosen)
-    val = [tasks[i] for i in chosen]
-    train = [t for i, t in enumerate(tasks) if i not in chosen_set]
+    val = [items[i] for i in chosen]
+    train = [x for i, x in enumerate(items) if i not in chosen_set]
     return train, val
 
 
@@ -107,7 +109,7 @@ def build_elicitation_prompt(space: SolutionSpace, sampled: Sequence[PoolEntry],
 
 def validate_candidate(
     candidate: KnowledgeItem,
-    queries: Sequence[tuple[Task, Sequence[PoolEntry] | None]],
+    queries: Sequence[tuple[Task, Sequence[PoolEntry]]],
     space: SolutionSpace,
     discretizers: Mapping[str, Discretizer],
     benchmark,
@@ -117,11 +119,9 @@ def validate_candidate(
     """Score knowledge by mock-running the online stage on the validation tasks.
 
     `queries` pairs each validation task with its demonstrations from
-    `retrieve_demos`, or with None where that retrieval failed with an
-    `ExpCopilotError`; only `suggest` runs here. Returns the mean normalized
-    metric@1; a task whose retrieval or suggestion failed with an
-    `ExpCopilotError` scores 0 instead of aborting the loop. Any other
-    exception is a programming error and propagates.
+    `retrieve_demos`. Returns the mean normalized metric@1; a task whose
+    suggestion fails with an `ExpCopilotError` scores 0 instead of aborting
+    the loop. Any other exception is a programming error and propagates.
     """
     from .bench import evaluate_solution, normalize_accuracy
 
@@ -130,9 +130,6 @@ def validate_candidate(
     cfg = replace(suggestion_config, temperature=0.0)
     scores = []
     for task, demos in queries:
-        if demos is None:
-            scores.append(0.0)
-            continue
         try:
             result = suggest(task, demos, [candidate], space, discretizers, cfg, backend)
             raw = evaluate_solution(benchmark, task.task_id, result.solutions[0])
@@ -148,6 +145,7 @@ def elicit_knowledge(
     benchmark,
     cfg: ElicitationConfig,
     backend,
+    seed: int = 0,
     suggestion_config: SuggestionConfig | None = None,
     discretizers: Mapping[str, Discretizer] | None = None,
     validator: Callable[[KnowledgeItem], float] | None = None,
@@ -158,14 +156,11 @@ def elicit_knowledge(
     uniformly, generate a candidate, and validate it. Strict improvements reset
     the stagnation counter; the loop breaks once stagnation exceeds patience.
     Returns the best candidate (with its provenance and score) plus the trace.
+    `seed` drives the validation split and every round's draws.
 
-    The default scorer splits off validation tasks and retrieves each one's
-    demonstrations from the remaining entries once, before the first round:
-    only the candidate changes between rounds, so every round reuses them. A
-    task whose retrieval fails with an `ExpCopilotError` scores 0 in every
-    round. With a live backend, an embedding that still fails after its
-    retries therefore zeroes that task for the whole run, not for one round,
-    which is also what replaying the run's journal gives.
+    The default scorer splits off validation entries and retrieves each one's
+    demonstrations from the remaining entries by the entry's own embedding,
+    once, before the first round: only the candidate changes between rounds.
 
     `validator` overrides the default mock-online scorer, in which case the
     benchmark may be None.
@@ -180,17 +175,11 @@ def elicit_knowledge(
                 "elicitation needs a benchmark, suggestion config, and discretizers "
                 "unless a validator is supplied"
             )
-        tasks = [e.task for e in entries]
-        train_tasks, val_tasks = split_validation(tasks, cfg.val_fraction, cfg.seed)
-        train_ids = {t.task_id for t in train_tasks}
-        gen_entries = [e for e in entries if e.task.task_id in train_ids]
-        queries = []
-        for task in val_tasks:
-            try:
-                demos = retrieve_demos(task, gen_entries, suggestion_config, backend, exclude={task.task_id})
-            except ExpCopilotError:
-                demos = None
-            queries.append((task, demos))
+        gen_entries, val_entries = split_validation(entries, cfg.val_fraction, seed)
+        queries = [
+            (e.task, retrieve_demos(e.embedding, gen_entries, suggestion_config, exclude={e.task.task_id}))
+            for e in val_entries
+        ]
 
         def validator(item: KnowledgeItem) -> float:
             return validate_candidate(
@@ -199,7 +188,7 @@ def elicit_knowledge(
     else:
         gen_entries = entries
 
-    rng = random.Random(cfg.seed)
+    rng = random.Random(seed)
     best: KnowledgeItem | None = None
     best_score = -math.inf
     stagnation = 0

@@ -14,7 +14,7 @@ from typing import Callable, Collection, Mapping, Sequence
 from .core import Discretizer, Solution, SolutionSpace, Task, discretize_solution
 from .errors import ParseError, ValidationError
 from .gateway import CONFIG_LINE, CompletionRequest, estimate_tokens, max_prompt_chars
-from .retrieval import KnowledgeItem, PoolEntry, retrieve_experience, retrieve_knowledge
+from .retrieval import EmbeddingVector, KnowledgeItem, PoolEntry, retrieve_experience, retrieve_knowledge
 
 FILL_BUDGET = "fill-budget"
 
@@ -199,25 +199,17 @@ def concretize(
 
 
 def retrieve_demos(
-    task: Task,
+    query: EmbeddingVector,
     pool: Sequence[PoolEntry],
     cfg: SuggestionConfig,
-    backend,
     exclude: Collection[str] = (),
 ) -> list[PoolEntry]:
-    """The pool entries to demonstrate for `task`, most similar first.
+    """The pool entries to demonstrate for the task embedded as `query`, most similar first.
 
-    Embeds the task's description once and ranks the pool by cosine
-    similarity, leaving out the task ids in `exclude`. Keeps the k_tasks
-    best, or every entry under fill-budget, where `build_suggestion_prompt`
-    cuts the list at the token budget. An empty pool gives no demonstrations
-    and no embedding call. The result depends only on the task and the pool,
-    so elicitation, which suggests for the same validation tasks every round,
-    retrieves once per task and reuses the list.
+    Ranks the pool by cosine similarity, leaving out the task ids in
+    `exclude`, and keeps the k_tasks best, or every entry under fill-budget,
+    where `build_suggestion_prompt` cuts the list at the token budget.
     """
-    if not pool:
-        return []
-    query = backend.embed(task.description)
     k = len(pool) if cfg.k_tasks == FILL_BUDGET else cfg.k_tasks
     return [entry for entry, _ in retrieve_experience(query, pool, max(k, 1), exclude=exclude)]
 

@@ -197,9 +197,9 @@ def test_criterion_5_elicitation_control_flow(svm_space, online_demo_entries):
         calls, best_round, best_score = _reference_loop(scores, rounds, patience)
 
         backend = _SequenceBackend()
-        cfg = ElicitationConfig(rounds=rounds, patience=patience, seed=trial, subset_size=2)
+        cfg = ElicitationConfig(rounds=rounds, patience=patience, subset_size=2)
         best, trace = elicit_knowledge(
-            online_demo_entries, svm_space, None, cfg, backend,
+            online_demo_entries, svm_space, None, cfg, backend, seed=trial,
             validator=lambda item: scores[int(item.text.split()[-1]) - 1],
         )
         assert backend.calls == calls, f"trial {trial}"

@@ -44,6 +44,7 @@ from expcopilot.elicitation import ElicitationConfig
 from expcopilot.errors import BenchmarkError, ConfigError, GatewayError, ValidationError
 from expcopilot.gateway import ScriptedBackend
 from expcopilot.retrieval import PoolEntry
+from expcopilot.suggestion import SuggestionConfig
 
 
 def write_bundle(root, space, tasks, rows, direction="higher", twins=None):
@@ -703,6 +704,18 @@ class TestFoldArtifacts:
 
 
 class TestRunLooEval:
+    def test_prompts_show_demos_per_task_configurations(self, synth_benchmark):
+        # As `suggest` does; discretizers are still fitted on TOP_RECORDS rows.
+        cfg = bench.EvalConfig(suggestion=SuggestionConfig(demos_per_task=5))
+        sink = []
+        report = run_loo_eval(
+            synth_benchmark, "copilot", [0], cfg, backend=ScriptedBackend(), prompt_sink=sink
+        )
+        assert not any(row.failed for row in report.rows)
+        for _, prompt in sink:
+            blocks = [s for s in prompt.split("\n\n") if s.startswith("Dataset: ")]
+            assert blocks and all(block.count("\nConfiguration ") == 5 for block in blocks)
+
     def test_random_monotone_metric_at_t(self, synth_benchmark):
         report = run_loo_eval(synth_benchmark, "random", seeds=[0, 1, 2, 3, 4])
         for row in report.rows:
@@ -833,14 +846,42 @@ class TestRunLooEval:
         fold, retrieve = bench.build_fold_artifacts, bench.retrieve_demos
         monkeypatch.setattr(
             bench, "build_fold_artifacts",
-            lambda b, train_ids, backend, cache: fold(b, all_ids, backend, cache),
+            lambda b, train_ids, backend, cache, per_task: fold(b, all_ids, backend, cache, per_task),
         )
         monkeypatch.setattr(
             bench, "retrieve_demos",
-            lambda task, pool, cfg, backend, exclude: retrieve(task, pool, cfg, backend),
+            lambda query, pool, cfg, exclude: retrieve(query, pool, cfg),
         )
         with pytest.raises(AssertionError, match="held-out task"):
             run_loo_eval(synth_benchmark, "copilot", seeds=[0], backend=ScriptedBackend())
+
+    def test_every_prompt_of_a_knowledge_fold_is_free_of_the_held_out_task(
+        self, synth_benchmark, monkeypatch
+    ):
+        # Elicitation's validation prompts are not scanned by the sweep, so this
+        # test records every prompt the model receives, fold by fold.
+        b = synth_benchmark
+        folds = []  # (held-out ids, prompts sent) per fold
+        fold = bench.build_fold_artifacts
+
+        def tracking(b, train_ids, *args):
+            folds.append(({t.task_id for t in b.tasks} - set(train_ids), []))
+            return fold(b, train_ids, *args)
+
+        class RecordingBackend(ScriptedBackend):
+            def complete(self, request):
+                folds[-1][1].append(request.prompt)
+                return super().complete(request)
+
+        monkeypatch.setattr(bench, "build_fold_artifacts", tracking)
+        cfg = bench.EvalConfig(use_knowledge=True, elicitation=ElicitationConfig(rounds=3, patience=1))
+        report = run_loo_eval(b, "copilot", [0], cfg, backend=RecordingBackend())
+        assert not any(row.failed for row in report.rows)
+        assert len(folds) == len(b.tasks) and sum(len(sent) for _, sent in folds) == 120
+        for held, sent in folds:
+            for tid in held:
+                demo = f"Dataset: {b.task(tid).description}\nConfiguration"
+                assert not any(demo in prompt for prompt in sent), tid
 
     def test_strip_query_section(self):
         prompt = "desc\n\nDataset: demo one\nConfiguration 1: x\n\nDataset: the query"

@@ -166,6 +166,29 @@ class TestElicit:
         assert knowledge == (GOLDEN / "elicit_knowledge.jsonl").read_bytes()
         assert trace == (GOLDEN / "elicit_trace.jsonl").read_bytes()
 
+    def test_pool_embedded_by_another_model_gives_the_same_knowledge(
+        self, runner, ingest_inputs, synth_dir, tmp_path, monkeypatch
+    ):
+        # Validation tasks are ranked by their pool vectors, so elicitation
+        # embeds nothing and never compares vectors of two models.
+        pool = run_ingest(runner, ingest_inputs, tmp_path / "pool")
+        cache_file = pool / "embeddings.jsonl"
+        cache_file.write_text(cache_file.read_text().replace("hashed-bow-256", "old-embedder"))
+        embedded = []
+        embed = ScriptedBackend.embed
+        monkeypatch.setattr(
+            ScriptedBackend, "embed", lambda self, text: embedded.append(text) or embed(self, text)
+        )
+        knowledge, trace = tmp_path / "knowledge.jsonl", tmp_path / "trace.jsonl"
+        result = runner.invoke(main, [
+            "elicit", "--pool", str(pool), "--benchmark", str(synth_dir),
+            "--out", str(knowledge), "--trace", str(trace), "--seed", "7",
+        ])
+        assert result.exit_code == 0, result.output
+        assert knowledge.read_bytes() == (GOLDEN / "elicit_knowledge.jsonl").read_bytes()
+        assert trace.read_bytes() == (GOLDEN / "elicit_trace.jsonl").read_bytes()
+        assert embedded == []
+
     def test_trace_length_matches_stagnation_stop(self, runner, ingest_inputs, synth_dir, tmp_path):
         pool = run_ingest(runner, ingest_inputs, tmp_path / "pool")
         trace = tmp_path / "trace.jsonl"
@@ -695,6 +718,10 @@ class TestEval:
             ({"suggestion": {"max_tokens": 0}}, "0"),
             ({"suggestion": {"k_tasks": True}}, "0"),
             ({"elicitation": {"max_tokens": 0}}, "0"),
+            # A typo would silently run without knowledge.
+            ({"eval": {"use_knowlege": True}}, "0"),
+            # The seed of elicitation derives from the root seed.
+            ({"elicitation": {"seed": 1}}, "0"),
         ],
     )
     def test_bad_config_or_option_exits_2(self, runner, synth_dir, tmp_path, config, seeds):

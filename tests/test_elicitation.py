@@ -132,9 +132,9 @@ def reference_loop(scores, rounds, patience):
 
 def run_elicit(scores, rounds, patience, pool, space, fail_rounds=()):
     backend = SequenceBackend(fail_rounds)
-    cfg = ElicitationConfig(rounds=rounds, patience=patience, seed=1, subset_size=2)
+    cfg = ElicitationConfig(rounds=rounds, patience=patience, subset_size=2)
     best, trace = elicit_knowledge(
-        pool, space, None, cfg, backend, validator=scripted_validator(scores)
+        pool, space, None, cfg, backend, seed=1, validator=scripted_validator(scores)
     )
     return backend, best, trace
 
@@ -217,18 +217,18 @@ class TestElicitControlFlow:
 
     def test_all_rounds_failing_raises_with_trace(self, svm_space, online_demo_entries):
         backend = SequenceBackend(fail_rounds=range(1, 20))
-        cfg = ElicitationConfig(rounds=5, patience=10, seed=1)
+        cfg = ElicitationConfig(rounds=5, patience=10)
         with pytest.raises(ElicitationError) as excinfo:
             elicit_knowledge(
-                online_demo_entries, svm_space, None, cfg, backend,
+                online_demo_entries, svm_space, None, cfg, backend, seed=1,
                 validator=scripted_validator([0.0] * 5),
             )
         assert len(excinfo.value.trace) == 5
 
 
-def queries_for(tasks, pool, backend, cfg=SuggestionConfig()):
+def queries_for(entries, pool, cfg=SuggestionConfig()):
     """(task, demos) pairs as `elicit_knowledge` passes them to `validate_candidate`."""
-    return [(t, retrieve_demos(t, pool, cfg, backend, exclude={t.task_id})) for t in tasks]
+    return [(e.task, retrieve_demos(e.embedding, pool, cfg, exclude={e.task.task_id})) for e in entries]
 
 
 class TestValidateCandidate:
@@ -242,7 +242,7 @@ class TestValidateCandidate:
         candidate = KnowledgeItem(space_id=b.space.space_id, text="prefer shallow trees", validation_score=0.0)
 
         score = validate_candidate(
-            candidate, queries_for(val_tasks, train_entries, backend), b.space, discretizers,
+            candidate, queries_for(entries[9:], train_entries), b.space, discretizers,
             b, SuggestionConfig(), backend,
         )
 
@@ -275,7 +275,7 @@ class TestValidateCandidate:
         candidate = KnowledgeItem(space_id=b.space.space_id, text="x", validation_score=0.0)
         with pytest.raises(RuntimeError, match="bug in the backend"):
             validate_candidate(
-                candidate, queries_for([entries[-1].task], entries[:-1], backend), b.space,
+                candidate, queries_for(entries[-1:], entries[:-1]), b.space,
                 discretizers, b, SuggestionConfig(), backend,
             )
 
@@ -289,7 +289,7 @@ class TestValidateCandidate:
         entries, discretizers = build_fold_artifacts(b, [t.task_id for t in b.tasks], backend)
         candidate = KnowledgeItem(space_id=b.space.space_id, text="x", validation_score=0.0)
         score = validate_candidate(
-            candidate, queries_for([entries[-1].task], entries[:-1], backend), b.space,
+            candidate, queries_for(entries[-1:], entries[:-1]), b.space,
             discretizers, b, SuggestionConfig(), backend,
         )
         assert score == 0.0
@@ -310,7 +310,7 @@ class TestValidateCandidate:
         b = synth_benchmark
         backend = ScriptedBackend()
         entries, discretizers = build_fold_artifacts(b, [t.task_id for t in b.tasks], backend)
-        queries = queries_for([entries[-1].task], entries[:-1], backend)
+        queries = queries_for(entries[-1:], entries[:-1])
         scores = [
             validate_candidate(
                 KnowledgeItem(space_id=b.space.space_id, text=text, validation_score=0.0),
@@ -324,13 +324,13 @@ class TestValidateCandidate:
 class TestElicitEndToEnd:
     def test_deterministic_trace_with_scripted_backend(self, synth_benchmark):
         b = synth_benchmark
-        cfg = ElicitationConfig(rounds=4, patience=2, seed=13, subset_size=3)
+        cfg = ElicitationConfig(rounds=4, patience=2, subset_size=3)
 
         def run():
             backend = ScriptedBackend()
             entries, discretizers = build_fold_artifacts(b, [t.task_id for t in b.tasks], backend)
             return elicit_knowledge(
-                entries, b.space, b, cfg, backend,
+                entries, b.space, b, cfg, backend, seed=13,
                 suggestion_config=SuggestionConfig(), discretizers=discretizers,
             )
 
@@ -347,7 +347,7 @@ class TestElicitEndToEnd:
         # shows where the budget cuts the list; the prompt hashes do. At 300
         # tokens the cut falls mid-list, after 2 of the 8 training tasks.
         b = synth_benchmark
-        cfg = ElicitationConfig(rounds=3, patience=3, seed=5, val_fraction=0.3)
+        cfg = ElicitationConfig(rounds=3, patience=3, val_fraction=0.3)
         lines = []
         for budget, kept in ((3000, 8), (300, 2)):
             prompts = []
@@ -360,7 +360,7 @@ class TestElicitEndToEnd:
             backend = RecordingBackend()
             pool, discretizers = build_fold_artifacts(b, [t.task_id for t in b.tasks], backend)
             _, trace = elicit_knowledge(
-                pool, b.space, b, cfg, backend,
+                pool, b.space, b, cfg, backend, seed=5,
                 suggestion_config=SuggestionConfig(token_budget=budget), discretizers=discretizers,
             )
             elicitation_prompts = {r.prompt for r in trace}
@@ -427,17 +427,10 @@ class GuidedBackend(ScriptedBackend):
     the prompt's hash, so candidates score differently, or a fixed
     configuration when it has no demonstrations; one prompt in four gets an
     unparseable answer at temperature 0, which the repair retry fixes.
-    `embed` raises `GatewayError` for the texts in `fail_texts`.
     """
 
-    def __init__(self, fail_texts=()):
+    def __init__(self):
         super().__init__(policy=self.answer)
-        self.fail_texts = set(fail_texts)
-
-    def embed(self, text):
-        if text in self.fail_texts:
-            raise GatewayError(f"embedding refused for {text!r}")
-        return super().embed(text)
 
     @staticmethod
     def answer(prompt, temperature):
@@ -453,12 +446,12 @@ class GuidedBackend(ScriptedBackend):
         return "\n".join(chosen)
 
 
-def reference_elicit(pool, space, benchmark, cfg, backend, sug_cfg, discretizers):
+def reference_elicit(pool, space, benchmark, cfg, seed, backend, sug_cfg, discretizers):
     """The elicitation loop as it was when each validation call retrieved its own
     demonstrations, so every round embedded and ranked every validation task again.
     `GuidedBackend` never fails a completion, so the failed-round branch is left out."""
     entries = [e for e in pool if e.task.space_id == space.space_id]
-    train, val = split_validation([e.task for e in entries], cfg.val_fraction, cfg.seed)
+    train, val = split_validation([e.task for e in entries], cfg.val_fraction, seed)
     train_ids = {t.task_id for t in train}
     gen = [e for e in entries if e.task.task_id in train_ids]
     val_cfg = replace(sug_cfg, temperature=0.0)
@@ -478,7 +471,7 @@ def reference_elicit(pool, space, benchmark, cfg, backend, sug_cfg, discretizers
                 scores.append(0.0)
         return sum(scores) / len(scores)
 
-    rng = random.Random(cfg.seed)
+    rng = random.Random(seed)
     best, best_score, stagnation, trace = None, -math.inf, 0, []
     for n in range(1, cfg.rounds + 1):
         subset = rng.sample(gen, min(cfg.subset_size, len(gen)))
@@ -512,37 +505,29 @@ class TestRetrieveOncePerRun:
         subset_size=st.integers(1, 3),
         k_tasks=st.sampled_from((FILL_BUDGET, 1, 2)),
         seed=st.integers(0, 2**16),
-        fail_one=st.booleans(),
     )
     @settings(max_examples=120, deadline=None)
     def test_matches_per_round_retrieval(
         self, n_tasks, bench_seed, direction, data, rounds, patience, val_fraction,
-        subset_size, k_tasks, seed, fail_one,
+        subset_size, k_tasks, seed,
     ):
         b = generated_benchmark(n_tasks, bench_seed, direction)
         ids = [t.task_id for t in b.tasks]
         train_ids = data.draw(st.lists(st.sampled_from(ids), min_size=2, unique=True))
         pool, discretizers = build_fold_artifacts(b, train_ids, ScriptedBackend())
         cfg = ElicitationConfig(
-            rounds=rounds, patience=patience, seed=seed,
-            subset_size=subset_size, val_fraction=val_fraction,
+            rounds=rounds, patience=patience, subset_size=subset_size, val_fraction=val_fraction,
         )
         sug_cfg = SuggestionConfig(k_tasks=k_tasks)
-        fail_texts = ()
-        if fail_one:
-            # One validation task's retrieval fails: it scores 0 in every round.
-            _, val = split_validation([e.task for e in pool], val_fraction, seed)
-            fail_texts = (data.draw(st.sampled_from(val)).description,)
-
         got = elicit_knowledge(
-            pool, b.space, b, cfg, GuidedBackend(fail_texts),
+            pool, b.space, b, cfg, GuidedBackend(), seed,
             suggestion_config=sug_cfg, discretizers=discretizers,
         )
         assert got == reference_elicit(
-            pool, b.space, b, cfg, GuidedBackend(fail_texts), sug_cfg, discretizers
+            pool, b.space, b, cfg, seed, GuidedBackend(), sug_cfg, discretizers
         )
 
-    def test_elicitation_embeds_each_validation_task_once(self, synth_benchmark):
+    def test_elicitation_embeds_nothing(self, synth_benchmark):
         b = synth_benchmark
         pool, discretizers = build_fold_artifacts(b, [t.task_id for t in b.tasks], ScriptedBackend())
         embedded = Counter()
@@ -552,11 +537,11 @@ class TestRetrieveOncePerRun:
                 embedded[text] += 1
                 return super().embed(text)
 
-        cfg = ElicitationConfig(rounds=6, patience=6, seed=3, val_fraction=0.3)
+        cfg = ElicitationConfig(rounds=6, patience=6, val_fraction=0.3)
         _, trace = elicit_knowledge(
-            pool, b.space, b, cfg, CountingBackend(),
+            pool, b.space, b, cfg, CountingBackend(), seed=3,
             suggestion_config=SuggestionConfig(), discretizers=discretizers,
         )
-        _, val = split_validation([e.task for e in pool], cfg.val_fraction, cfg.seed)
+        # Validation queries rank by their pool entries' vectors.
         assert len(trace) == 6 and all(r.score is not None for r in trace)
-        assert embedded == Counter({t.description: 1 for t in val})
+        assert embedded == Counter()

@@ -299,7 +299,7 @@ class TestHttpBackend:
         def run(backend):
             train_ids = [t.task_id for t in b.tasks[1:]]
             pool, discretizers = build_fold_artifacts(b, train_ids, backend)
-            demos = retrieve_demos(b.tasks[0], pool, SuggestionConfig(), backend)
+            demos = retrieve_demos(backend.embed(b.tasks[0].description), pool, SuggestionConfig())
             return suggest(b.tasks[0], demos, [], b.space, discretizers, SuggestionConfig(), backend)
 
         live = run(make_backend(url, tmp_path))
@@ -308,27 +308,28 @@ class TestHttpBackend:
         assert run(ReplayBackend(tmp_path / "journal.jsonl")) == live
 
     def test_elicitation_replays_from_journal(self, http_server, tmp_path, synth_benchmark):
-        # Live elicitation journals each validation task's embedding once and
-        # every round's completions; replaying the journal gives the same run.
+        # Live elicitation journals every round's completions and no embedding:
+        # validation queries use their pool entries' vectors. Replaying the
+        # journal gives the same run.
         url, state = http_server
         state["completion"] = "\n".join(
             f"Configuration {i}: depth is {level}. shrinkage is high. booster is dart."
             for i, level in enumerate(("low", "medium", "high"), start=1)
         )
         b = synth_benchmark
-        cfg = ElicitationConfig(rounds=3, patience=3, seed=5, val_fraction=0.3)
+        cfg = ElicitationConfig(rounds=3, patience=3, val_fraction=0.3)
 
         def run(backend):
             pool, discretizers = build_fold_artifacts(b, [t.task_id for t in b.tasks], backend)
             return elicit_knowledge(
-                pool, b.space, b, cfg, backend,
+                pool, b.space, b, cfg, backend, seed=5,
                 suggestion_config=SuggestionConfig(), discretizers=discretizers,
             )
 
         live_best, live_trace = run(make_backend(url, tmp_path))
         assert len(live_trace) == 3 and all(r.score is not None for r in live_trace)
         embeds = [r for r in state["requests"] if r["path"].endswith("/embeddings")]
-        assert len(embeds) == len(b.tasks) + 4  # the pool, then the 4 validation tasks once
+        assert len(embeds) == len(b.tasks)  # the pool's only
         assert run(ReplayBackend(tmp_path / "journal.jsonl")) == (live_best, live_trace)
 
     def test_requires_api_key(self, monkeypatch):

@@ -126,7 +126,7 @@ class TestBuildSuggestionPrompt:
     ):
         # retrieve_demos makes the k_tasks cut; the prompt shows what it keeps.
         cfg = SuggestionConfig(k_tasks=1)
-        demos = retrieve_demos(gina_task, online_demo_entries, cfg, ScriptedBackend())
+        demos = retrieve_demos(ScriptedBackend().embed(gina_task.description), online_demo_entries, cfg)
         assert len(demos) == 1
         prompt = build_suggestion_prompt(svm_space, gina_task, demos, guideline_items, cfg)
         assert prompt.count("Dataset:") == 2  # one demo block plus the query
@@ -371,7 +371,8 @@ class TestSuggest:
         pool, discretizers = build_fold_artifacts(b, ids, backend)
         task = b.tasks[0]
         before = backend.completion_calls
-        demos = retrieve_demos(task, pool, SuggestionConfig(), backend, exclude={task.task_id})
+        query = backend.embed(task.description)
+        demos = retrieve_demos(query, pool, SuggestionConfig(), exclude={task.task_id})
         result = suggest(task, demos, [], b.space, discretizers, SuggestionConfig(), backend)
         # Exactly one completion call and the partner task's best configurations.
         assert backend.completion_calls - before == 1
