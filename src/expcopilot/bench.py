@@ -28,6 +28,7 @@ from .core import (
     canonicalize,
     check_direction,
     derive_seed,
+    discretize_solution,
     fit_discretizer,
     rank_by_task,
     solution_key,
@@ -309,16 +310,6 @@ def baseline_nearest_task(
     return out
 
 
-def _levels_changed(entry: PoolEntry, rows: Sequence[Row], discretizers: Mapping[str, Discretizer]) -> bool:
-    """Whether any numeric value of `rows` has a level other than the one in `entry`."""
-    for exp, row in zip(entry.experiences, rows):
-        discrete, values = exp.discrete_solution, row.solution.values
-        for name, d in discretizers.items():
-            if discrete[name] != d.discretize(values[name]):
-                return True
-    return False
-
-
 @dataclass
 class FoldCache:
     """The fits, pool entries and vectors that the folds of one leave-one-out sweep share.
@@ -359,7 +350,7 @@ def build_fold_artifacts(
     new fit. Canonical records depend on the discretizers only through the
     split signature, (split points, level labels) per parameter, so an entry
     last built or checked under this fold's signature is reused as is, and
-    under another only if its records' numeric values keep their levels.
+    under another only if every record keeps its discrete solution.
     Otherwise it is rebuilt.
     """
     cache = FoldCache() if cache is None else cache
@@ -389,7 +380,10 @@ def build_fold_artifacts(
         entry, checked = cache.entries.get(tid, (None, None))
         if checked != signature:
             rows = b.ranked_rows[tid][:per_task]
-            if entry is None or _levels_changed(entry, rows, discretizers):
+            if entry is None or any(
+                discretize_solution(row.solution, b.space, discretizers) != exp.discrete_solution
+                for exp, row in zip(entry.experiences, rows)
+            ):
                 task = b.task(tid)
                 entry = PoolEntry(
                     task=task,
@@ -427,26 +421,19 @@ class EvalReport:
     rows: tuple[EvalRow, ...]
 
     def aggregates(self) -> dict:
-        seeds = sorted({row.seed for row in self.rows})
-        agg: dict = {"method": self.method, "nacc": {}, "metric": {}, "failures": []}
-        for t in (1, 2, 3):
-            nacc_means = []
-            metric_means = []
-            for seed in seeds:
-                seed_rows = [r for r in self.rows if r.seed == seed]
-                nacc_means.append(float(np.mean([r.naccs[t - 1] for r in seed_rows])))
-                metric_means.append(float(np.mean([r.metrics[t - 1] for r in seed_rows])))
-            agg["nacc"][str(t)] = {
-                "mean": float(np.mean(nacc_means)),
-                "std": float(np.std(nacc_means)),
-            }
-            agg["metric"][str(t)] = {
-                "mean": float(np.mean(metric_means)),
-                "std": float(np.std(metric_means)),
-            }
-        agg["failures"] = [
-            {"seed": r.seed, "task_id": r.task_id} for r in self.rows if r.failed
-        ]
+        by_seed: dict[int, list[EvalRow]] = {}
+        for row in self.rows:
+            by_seed.setdefault(row.seed, []).append(row)
+        agg: dict = {"method": self.method}
+        for name, field_name in (("nacc", "naccs"), ("metric", "metrics")):
+            agg[name] = {}
+            for t in (1, 2, 3):
+                means = [
+                    float(np.mean([getattr(r, field_name)[t - 1] for r in by_seed[seed]]))
+                    for seed in sorted(by_seed)
+                ]
+                agg[name][str(t)] = {"mean": float(np.mean(means)), "std": float(np.std(means))}
+        agg["failures"] = [{"seed": r.seed, "task_id": r.task_id} for r in self.rows if r.failed]
         return agg
 
 

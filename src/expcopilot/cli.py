@@ -15,7 +15,7 @@ from pathlib import Path
 import click
 
 from . import bench, storage
-from .core import TOP_RECORDS, check_direction, derive_seed, rank_by_task
+from .core import TOP_RECORDS, check_direction, check_int, derive_seed, rank_by_task
 from .elicitation import ElicitationConfig, elicit_knowledge
 from .errors import ConfigError, ExpCopilotError
 from .gateway import backend_from_config, embed_batch, prompt_sha256
@@ -48,7 +48,7 @@ def load_config(path: str | None) -> AppConfig:
         if eval_section or not isinstance(use_knowledge, bool):
             raise ConfigError(f"invalid config {path}: eval takes only use_knowledge, true or false")
         cfg = AppConfig(
-            seed=int(raw.get("seed", 0)),
+            seed=check_int("seed", raw.get("seed", 0)),
             direction=check_direction(raw.get("direction", "higher")),
             backend=dict(raw.get("backend", {"kind": "scripted"})),
             suggestion=SuggestionConfig(**dict(raw.get("suggestion", {}))),
@@ -147,7 +147,7 @@ def cmd_elicit(cfg: AppConfig, pool_dir, benchmark_dir, out_knowledge, out_trace
     backend = backend_from_config(cfg.backend)
     best, trace = elicit_knowledge(
         entries, space, benchmark, cfg.elicitation, backend, seed=derive_seed(cfg.seed, "elicit"),
-        suggestion_config=cfg.suggestion, discretizers=discretizers,
+        suggestion_config=replace(cfg.suggestion, task_kind=benchmark.task_kind), discretizers=discretizers,
     )
     storage.save_knowledge([best], out_knowledge)
     if out_trace:

@@ -34,6 +34,15 @@ def check_direction(direction: str) -> str:
     return direction
 
 
+def check_int(name: str, value, least: int | None = None) -> int:
+    """`value` if it is an int (a bool is not) of at least `least`; a ValidationError otherwise."""
+    if type(value) is not int:
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValidationError(f"{name} must be at least {least}")
+    return value
+
+
 def derive_seed(root: int, label: str) -> int:
     """Derive a named sub-stream seed from a root seed."""
     digest = hashlib.sha256(f"{root}:{label}".encode("utf-8")).digest()
@@ -192,12 +201,11 @@ class Solution:
         object.__setattr__(self, "values", MappingProxyType(checked))
 
 
-def solution_key(space: SolutionSpace, solution: Solution | Mapping[str, float | str]) -> str:
+def solution_key(space: SolutionSpace, solution: Solution) -> str:
     """Deterministic string key for a solution, used for table lookups and tie-breaking."""
-    values = solution.values if isinstance(solution, Solution) else solution
     parts = []
     for p in space.parameters:
-        v = values[p.name]
+        v = solution.values[p.name]
         if p.kind == "numeric":
             parts.append(f"{p.name}={format(float(v), '.12g')}")
         else:
@@ -344,34 +352,18 @@ class CanonicalExperience:
         object.__setattr__(self, "discrete_solution", MappingProxyType(dict(self.discrete_solution)))
 
 
-def verbalize_solution(
-    solution: Solution | Mapping[str, float | str],
-    space: SolutionSpace,
-    discretizers: Mapping[str, Discretizer] | None = None,
-) -> str:
-    """Render a solution as one sentence per parameter, in space order.
+def verbalize_solution(discrete: Mapping[str, str], space: SolutionSpace) -> str:
+    """Render a discrete solution as one sentence per parameter, in space order.
 
-    Numeric values are discretized on the fly; values that are already level
-    labels render through the space lexicon. Parameters absent from the
-    solution (conditional parameters) are skipped.
+    Level labels render through the space lexicon, choices as they are.
+    Parameters absent from the solution (conditional parameters) are skipped.
     """
-    values = solution.values if isinstance(solution, Solution) else solution
     parts = []
     for p in space.parameters:
-        if p.name not in values:
-            continue
-        v = values[p.name]
-        if p.kind == "numeric":
-            if isinstance(v, str):
-                label = v
-            else:
-                if discretizers is None or p.name not in discretizers:
-                    raise ValidationError(f"no discretizer for numeric parameter '{p.name}'")
-                label = discretizers[p.name].discretize(float(v))
-            text = space.render_level(label)
-        else:
-            text = str(v)
-        parts.append(f"{p.name} is {text}.")
+        if p.name in discrete:
+            v = discrete[p.name]
+            text = space.render_level(v) if p.kind == "numeric" else v
+            parts.append(f"{p.name} is {text}.")
     return " ".join(parts)
 
 
@@ -403,7 +395,7 @@ def canonicalize(
         if name not in space.parameter_names:
             raise ValidationError(f"record parameter '{name}' is absent from space '{space.space_id}'")
     discrete = discretize_solution(record.solution, space, discretizers)
-    text = verbalize_solution(discrete, space, discretizers)
+    text = verbalize_solution(discrete, space)
     return CanonicalExperience(
         task_id=record.task.task_id,
         space_id=space.space_id,

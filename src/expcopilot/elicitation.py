@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence, TypeVar
 
-from .core import Discretizer, SolutionSpace, Task
+from .core import Discretizer, SolutionSpace, Task, check_int
 from .errors import ConfigError, ElicitationError, ExpCopilotError, GatewayError, ValidationError
 from .gateway import CompletionRequest
 from .retrieval import KnowledgeItem, PoolEntry
@@ -44,18 +44,12 @@ class ElicitationConfig:
     max_tokens: int = 512
 
     def __post_init__(self):
-        if self.rounds < 1:
-            raise ValidationError("rounds must be at least 1")
-        if self.patience < 1:
-            raise ValidationError("patience must be at least 1")
+        for name in ("rounds", "patience", "subset_size", "max_tokens"):
+            check_int(name, getattr(self, name), 1)
         if not self.questions:
             raise ValidationError("questions must be non-empty")
         if not (0.0 < self.val_fraction < 1.0):
             raise ValidationError("val_fraction must be within (0, 1)")
-        if self.subset_size < 1:
-            raise ValidationError("subset_size must be at least 1")
-        if self.max_tokens < 1:
-            raise ValidationError("max_tokens must be at least 1")
         object.__setattr__(self, "questions", tuple(self.questions))
 
 
@@ -103,7 +97,7 @@ def build_elicitation_prompt(space: SolutionSpace, sampled: Sequence[PoolEntry],
     """
     if not sampled:
         raise ValidationError("cannot build an elicitation prompt without experience")
-    blocks = [space.description, *(entry.block() for entry in sampled), question]
+    blocks = [space.description, *(entry.block for entry in sampled), question]
     return "\n\n".join(blocks)
 
 

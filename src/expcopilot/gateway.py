@@ -148,7 +148,8 @@ class ReplayBackend:
     Requests are matched on (kind, prompt sha256). Responses recorded for the
     same key replay in recorded order, so a prompt sent twice (e.g. the repair
     retry at another temperature) gets each of its answers back in turn; once
-    a key's responses run out, its last one repeats.
+    a key's responses run out, its last one repeats. Each embedding is built
+    as the cassette is read, so a malformed one fails there, naming its line.
     """
 
     def __init__(self, cassette_path: str | Path):
@@ -170,8 +171,8 @@ class ReplayBackend:
                 request, sha, response = entry["request"], entry["prompt_sha256"], entry["response"]
                 kind = request.get("kind", "complete")
                 if kind == "embed":
-                    response = (response, request.get("model", "replay"))
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                    response = EmbeddingVector(values=tuple(response), model_tag=request.get("model", "replay"))
+            except (ValueError, KeyError, TypeError, AttributeError, ValidationError) as exc:
                 raise ConfigError(f"{path}:{line_no}: malformed cassette entry ({exc!r})") from exc
             self._responses.setdefault((kind, sha), deque()).append(response)
 
@@ -186,8 +187,7 @@ class ReplayBackend:
         return str(self._next("complete", prompt_sha256(req.prompt)))
 
     def embed(self, text: str) -> EmbeddingVector:
-        values, tag = self._next("embed", prompt_sha256(text))
-        return EmbeddingVector(values=tuple(values), model_tag=tag)
+        return self._next("embed", prompt_sha256(text))
 
 
 class HttpBackend:
@@ -254,14 +254,15 @@ class HttpBackend:
         data = self._post("/embeddings", {"model": self.embed_model, "input": text})
         try:
             values = tuple(data["data"][0]["embedding"])
-        except (KeyError, IndexError, TypeError) as exc:
+            vector = EmbeddingVector(values=values, model_tag=self.embed_model)
+        except (KeyError, IndexError, TypeError, ValueError, ValidationError) as exc:
             raise GatewayError(f"malformed embedding response: {exc}") from exc
         self._journal(
             sha=prompt_sha256(text),
             request={"kind": "embed", "model": self.embed_model},
             response=list(values),
         )
-        return EmbeddingVector(values=values, model_tag=self.embed_model)
+        return vector
 
     def _post(self, route: str, body: dict) -> dict:
         url = self.endpoint + route

@@ -69,23 +69,20 @@ class PoolEntry:
     task: Task
     embedding: EmbeddingVector
     experiences: tuple[CanonicalExperience, ...]
-    _blocks: dict[int, str] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "experiences", tuple(self.experiences))
 
-    def block(self, n_configs: int | None = None) -> str:
-        """The demonstration block: the dataset line, then the first `n_configs` configurations
-        (all by default). Online and offline prompts both show entries in this format; each
-        block is rendered once per count, so every prompt, fold and round reuses it.
+    @cached_property
+    def block(self) -> str:
+        """The demonstration block: the dataset line, then every configuration the entry holds.
+        Online and offline prompts both show entries in this format; it is rendered once, so
+        every prompt, fold and round reuses it.
         """
-        block = self._blocks.get(n_configs)
-        if block is None:
-            lines = [f"Dataset: {self.task.description}"]
-            for i, exp in enumerate(self.experiences[:n_configs], start=1):
-                lines.append(f"Configuration {i}: {exp.solution_text}")
-            block = self._blocks[n_configs] = "\n".join(lines)
-        return block
+        lines = [f"Dataset: {self.task.description}"]
+        for i, exp in enumerate(self.experiences, start=1):
+            lines.append(f"Configuration {i}: {exp.solution_text}")
+        return "\n".join(lines)
 
 
 def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Collection, Mapping, Sequence
 
-from .core import Discretizer, Solution, SolutionSpace, Task, discretize_solution
+from .core import Discretizer, Solution, SolutionSpace, Task, check_int, discretize_solution
 from .errors import ParseError, ValidationError
 from .gateway import CONFIG_LINE, CompletionRequest, estimate_tokens, max_prompt_chars
 from .retrieval import EmbeddingVector, KnowledgeItem, PoolEntry, retrieve_experience, retrieve_knowledge
@@ -31,16 +31,10 @@ class SuggestionConfig:
     stop_sequences: tuple[str, ...] | None = ("\n\nDataset:",)
 
     def __post_init__(self):
-        if self.n_suggestions < 1:
-            raise ValidationError("n_suggestions must be at least 1")
-        if self.demos_per_task < 1:
-            raise ValidationError("demos_per_task must be at least 1")
-        if self.token_budget < 256:
-            raise ValidationError("token_budget must be at least 256")
+        for name, least in (("n_suggestions", 1), ("demos_per_task", 1), ("token_budget", 256), ("max_tokens", 1)):
+            check_int(name, getattr(self, name), least)
         if not (0.0 <= self.temperature <= 1.0):
             raise ValidationError("temperature must be within [0, 1]")
-        if self.max_tokens < 1:
-            raise ValidationError("max_tokens must be at least 1")
         if self.k_tasks != FILL_BUDGET and (type(self.k_tasks) is not int or self.k_tasks < 1):
             raise ValidationError(f"k_tasks must be a positive integer or '{FILL_BUDGET}'")
         if self.stop_sequences is not None:
@@ -105,7 +99,7 @@ def build_suggestion_prompt(
     room = max_prompt_chars(cfg.token_budget)
     room -= len(space.description) + 2 + len(demo_tail)
     for entry in demos:
-        block = entry.block(cfg.demos_per_task)
+        block = entry.block
         room -= len(block) + 2
         if room < 0:
             break

@@ -189,6 +189,27 @@ class TestElicit:
         assert trace.read_bytes() == (GOLDEN / "elicit_trace.jsonl").read_bytes()
         assert embedded == []
 
+    def test_validation_prompts_name_the_bundles_task_kind(
+        self, runner, ingest_inputs, synth_dir, tmp_path, monkeypatch
+    ):
+        pool = run_ingest(runner, ingest_inputs, tmp_path / "pool")
+        bundle = tmp_path / "bundle"
+        shutil.copytree(synth_dir, bundle)
+        meta = json.loads((bundle / "meta.json").read_text())
+        (bundle / "meta.json").write_text(json.dumps({**meta, "task_kind": "regression dataset"}))
+        prompts = []
+        complete = ScriptedBackend.complete
+        monkeypatch.setattr(
+            ScriptedBackend, "complete", lambda self, req: prompts.append(req.prompt) or complete(self, req)
+        )
+        result = runner.invoke(main, [
+            "elicit", "--pool", str(pool), "--benchmark", str(bundle),
+            "--out", str(tmp_path / "knowledge.jsonl"),
+        ])
+        assert result.exit_code == 0, result.output
+        validation = [p for p in prompts if "configurations for a new" in p]
+        assert validation and all("configurations for a new regression dataset" in p for p in validation)
+
     def test_trace_length_matches_stagnation_stop(self, runner, ingest_inputs, synth_dir, tmp_path):
         pool = run_ingest(runner, ingest_inputs, tmp_path / "pool")
         trace = tmp_path / "trace.jsonl"
@@ -339,6 +360,23 @@ class TestSuggest:
         )
         assert result.exit_code == 3
         assert "replay miss" in result.stderr
+
+    def test_malformed_cassette_embedding_exits_2(self, runner, ingest_inputs, new_task_file, tmp_path):
+        pool = run_ingest(runner, ingest_inputs, tmp_path / "pool")
+        task_desc = json.loads(new_task_file.read_text())["description"]
+        cassette = tmp_path / "cassette.jsonl"
+        cassette.write_text(json.dumps({
+            "prompt_sha256": prompt_sha256(task_desc),
+            "request": {"kind": "embed", "model": "hashed-bow-256"},
+            "response": ["a"],
+        }) + "\n")
+        result = runner.invoke(main, [
+            "suggest", "--task-file", str(new_task_file), "--pool", str(pool),
+            "--backend", "replay", "--cassette", str(cassette),
+        ])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith(f"error: {cassette}:1: malformed cassette entry")
 
     def test_replay_cassette_that_is_not_utf8_exits_2(self, runner, ingest_inputs, new_task_file, tmp_path):
         pool = run_ingest(runner, ingest_inputs, tmp_path / "pool")
@@ -722,6 +760,15 @@ class TestEval:
             ({"eval": {"use_knowlege": True}}, "0"),
             # The seed of elicitation derives from the root seed.
             ({"elicitation": {"seed": 1}}, "0"),
+            # Integer settings must be JSON integers; a bool is not one.
+            ({"suggestion": {"demos_per_task": 2.5}}, "0"),
+            ({"suggestion": {"n_suggestions": 2.5}}, "0"),
+            ({"elicitation": {"rounds": 2.5}}, "0"),
+            ({"elicitation": {"subset_size": 1.5}}, "0"),
+            ({"suggestion": {"n_suggestions": True}}, "0"),
+            ({"seed": 1.7}, "0"),
+            ({"suggestion": {"token_budget": 3000.0}}, "0"),
+            ({"elicitation": {"patience": True}}, "0"),
         ],
     )
     def test_bad_config_or_option_exits_2(self, runner, synth_dir, tmp_path, config, seeds):

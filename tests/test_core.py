@@ -254,7 +254,8 @@ class TestVerbalize:
 
     def test_numeric_value_is_discretized(self, svm_space, svm_discretizers):
         solution = Solution(svm_space, {"cost": 0.0011, "gamma": 0.0002, "kernel": "radial"})
-        text = verbalize_solution(solution, svm_space, svm_discretizers)
+        record = ExperienceRecord(Task("t", svm_space.space_id, "d"), solution, 0.5)
+        text = canonicalize(record, svm_space, svm_discretizers).solution_text
         assert text.startswith("cost is very small. gamma is very small.")
 
     def test_determinism(self, svm_space):

@@ -128,6 +128,7 @@ class TestReplayBackend:
         vector = backend.embed("embed me")
         assert vector.values == (0.6, 0.8)
         assert vector.model_tag == "emb-1"
+        assert backend.embed("embed me") is vector
 
     def test_miss_identifies_prompt_hash(self, tmp_path):
         cassette = tmp_path / "cassette.jsonl"
@@ -166,6 +167,15 @@ class TestReplayBackend:
         with pytest.raises(ConfigError, match=f"{cassette}:1"):
             ReplayBackend(cassette)
 
+    @pytest.mark.parametrize("response", [["a"], 5, [None], [], [float("nan")]])
+    def test_malformed_embedding_names_its_position(self, tmp_path, response):
+        cassette = tmp_path / "cassette.jsonl"
+        good = {"prompt_sha256": prompt_sha256("p"), "request": {"kind": "complete"}, "response": "r"}
+        bad = {"prompt_sha256": prompt_sha256("e"), "request": {"kind": "embed"}, "response": response}
+        cassette.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(ConfigError, match=f"{cassette}:2: malformed cassette entry"):
+            ReplayBackend(cassette)
+
 
 class _Handler(BaseHTTPRequestHandler):
     server_state: dict = {}
@@ -188,7 +198,7 @@ class _Handler(BaseHTTPRequestHandler):
             text = state.get("by_temperature", {}).get(body["temperature"], text)
             payload = {"choices": [{"text": text}]}
         else:
-            payload = {"data": [{"embedding": [0.3, 0.4, 0.5]}]}
+            payload = {"data": [{"embedding": state.get("embedding", [0.3, 0.4, 0.5])}]}
         raw = json.dumps(payload).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
@@ -273,6 +283,15 @@ class TestHttpBackend:
         assert vector.values == (0.3, 0.4, 0.5)
         assert vector.model_tag == "test-embed"
         assert state["requests"][0]["body"] == {"model": "test-embed", "input": "embed this"}
+
+    @pytest.mark.parametrize("embedding", [["a"], [None], [], [float("nan")]])
+    def test_malformed_embedding_is_a_gateway_error_and_not_journaled(self, http_server, tmp_path, embedding):
+        url, state = http_server
+        state["embedding"] = embedding
+        backend = make_backend(url, tmp_path)
+        with pytest.raises(GatewayError, match="malformed embedding response"):
+            backend.embed("bad vector")
+        assert not (tmp_path / "journal.jsonl").exists()
 
     def test_journal_replays_byte_identical(self, http_server, tmp_path):
         url, state = http_server

@@ -81,18 +81,16 @@ def entry(task_id, values):
 
 
 class TestPoolEntryBlock:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
-    def test_cached_block_is_the_first_n_configurations(self, n):
+    def test_cached_block_shows_every_configuration(self):
         task = Task(task_id="t", space_id="s", description="desc t")
         texts = ["cost is low.", "cost is medium.", "cost is high."]
         pool_entry = PoolEntry(
             task, vec(1.0), [CanonicalExperience("t", "s", text, {}, 0.0) for text in texts]
         )
         lines = ["Dataset: desc t", *(f"Configuration {i}: {t}" for i, t in enumerate(texts, 1))]
-        block = pool_entry.block(n)
-        assert block == "\n".join(lines[: n + 1])
-        assert pool_entry.block(n) is block
-        assert pool_entry.block() == "\n".join(lines)
+        block = pool_entry.block
+        assert block == "\n".join(lines)
+        assert pool_entry.block is block
 
 
 class TestRetrieveExperience:

@@ -42,7 +42,7 @@ def reference_prompt(space, task, demos, knowledge, cfg):
 
     def assemble(m):
         parts = [space.description]
-        parts.extend(entry.block(cfg.demos_per_task) for entry in demos[:m])
+        parts.extend(entry.block for entry in demos[:m])
         if knowledge:
             numbered = "\n".join(f"{i}. {k.text}" for i, k in enumerate(knowledge, start=1))
             parts.append("Guidelines:\n" + numbered)
@@ -153,12 +153,11 @@ class TestBuildSuggestionPrompt:
         knowledge=st.lists(_words, max_size=3),
         budget=st.integers(256, 1200),
         edge=st.one_of(st.none(), st.tuples(st.integers(0, 12), st.integers(-1, 1))),
-        demos_per_task=st.integers(1, 4),
         n_suggestions=st.integers(1, 5),
     )
     @settings(max_examples=300, deadline=None)
     def test_single_pass_matches_prefix_loop(
-        self, space_text, query, demos, knowledge, budget, edge, demos_per_task, n_suggestions,
+        self, space_text, query, demos, knowledge, budget, edge, n_suggestions,
     ):
         if edge is not None:
             # Pad the description so every prompt is over the minimum budget.
@@ -167,9 +166,7 @@ class TestBuildSuggestionPrompt:
         task = Task(task_id="query", space_id="s", description=query)
         entries = [text_entry(i, d, texts) for i, (d, texts) in enumerate(demos)]
         items = [KnowledgeItem("s", text, 0.0) for text in knowledge]
-        cfg = SuggestionConfig(
-            n_suggestions=n_suggestions, demos_per_task=demos_per_task, token_budget=10**9,
-        )
+        cfg = SuggestionConfig(n_suggestions=n_suggestions, token_budget=10**9)
         if edge is not None:
             # Put the budget at, or one token beside, the size of the prompt with m demos.
             m, slack = edge
@@ -188,13 +185,13 @@ class TestBuildSuggestionPrompt:
         # The budget is fitted by summing block lengths, so the work is one
         # block lookup per kept demo plus the one that overflows.
         checks = []
-        real_block = PoolEntry.block
+        real_block = PoolEntry.block.func
 
-        def counting_block(entry, n_configs=None):
+        def counting_block(entry):
             checks.append(entry.task.task_id)
-            return real_block(entry, n_configs)
+            return real_block(entry)
 
-        monkeypatch.setattr(PoolEntry, "block", counting_block)
+        monkeypatch.setattr(PoolEntry, "block", property(counting_block))
         entries = [
             text_entry(i, f"dataset {i} " * 5, ["cost is low. gamma is high. kernel is radial."] * 3)
             for i in range(150)
