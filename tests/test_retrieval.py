@@ -81,15 +81,17 @@ def entry(task_id, values):
 
 
 class TestPoolEntryBlock:
-    def test_cached_block_shows_every_configuration(self):
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+    def test_cached_block_is_the_first_n_configurations(self, n):
+        # An entry built from a task's first n records shows every one of them, once cached.
         task = Task(task_id="t", space_id="s", description="desc t")
         texts = ["cost is low.", "cost is medium.", "cost is high."]
         pool_entry = PoolEntry(
-            task, vec(1.0), [CanonicalExperience("t", "s", text, {}, 0.0) for text in texts]
+            task, vec(1.0), [CanonicalExperience("t", "s", text, {}, 0.0) for text in texts[:n]]
         )
         lines = ["Dataset: desc t", *(f"Configuration {i}: {t}" for i, t in enumerate(texts, 1))]
         block = pool_entry.block
-        assert block == "\n".join(lines)
+        assert block == "\n".join(lines[: n + 1])
         assert pool_entry.block is block
 
 
