@@ -32,10 +32,11 @@ from .core import (
     fit_discretizer,
     rank_by_task,
     solution_key,
+    solution_reader,
 )
 from .elicitation import ElicitationConfig, elicit_knowledge
 from .errors import BenchmarkError, ConfigError, ExpCopilotError, ValidationError
-from .retrieval import EmbeddingVector, PoolEntry
+from .retrieval import EmbeddingVector, PoolEntry, RetrievalIndex
 from .storage import load_space, load_tasks, read_jsonl
 from .suggestion import SuggestionConfig, retrieve_demos, suggest
 
@@ -96,7 +97,11 @@ class Benchmark:
 
 
 def load_benchmark(path: str | Path) -> Benchmark:
-    """Load and validate a benchmark bundle directory."""
+    """Load and validate a benchmark bundle directory.
+
+    Table rows with equal `values` share one `Solution` and key (see
+    `core.solution_reader`); a row that fails validation names its line.
+    """
     root = Path(path)
     try:
         meta = json.loads((root / "meta.json").read_text(encoding="utf-8"))
@@ -116,6 +121,7 @@ def load_benchmark(path: str | Path) -> Benchmark:
 
     rows: dict[str, list[Row]] = {t.task_id: [] for t in tasks}
     table: dict[str, dict[str, float]] = {t.task_id: {} for t in tasks}
+    read_solution = solution_reader(space)
     for lineno, d in enumerate(read_jsonl(root / "table.jsonl"), start=1):
         try:
             task_id = d["task_id"]
@@ -124,10 +130,9 @@ def load_benchmark(path: str | Path) -> Benchmark:
             metric = float(d["metric"])
             if not math.isfinite(metric):
                 raise BenchmarkError("metric is not finite")
-            solution = Solution(space, d["values"])
+            solution, key = read_solution(d["values"])
         except (BenchmarkError, ValidationError, KeyError, TypeError, ValueError) as exc:
             raise BenchmarkError(f"table.jsonl:{lineno}: {exc}") from exc
-        key = solution_key(space, solution)
         if key in table[task_id]:
             raise BenchmarkError(f"table.jsonl:{lineno}: duplicate solution for task '{task_id}'")
         rows[task_id].append(Row(key, solution, metric))
@@ -310,15 +315,24 @@ def baseline_nearest_task(
     return out
 
 
+def split_signature(discretizers: Mapping[str, Discretizer]) -> tuple:
+    """(split points, level labels) per parameter: all that canonical records depend on."""
+    return tuple((d.split_points, d.level_labels) for d in discretizers.values())
+
+
 @dataclass
 class FoldCache:
-    """The fits, pool entries and vectors that the folds of one leave-one-out sweep share.
+    """The fits, vectors and retrieval indexes that the folds of one leave-one-out sweep share.
 
-    A cache serves the benchmark and the records per task of its first fold only.
+    `pools` maps a split signature to every task's pool entry under it, by
+    task id, and the `RetrievalIndex` over those entries in task order; a fold
+    retrieves from its signature's index with its held-out ids and twins
+    masked out. All indexes of a sweep share one set of stacked vectors. A
+    cache serves the benchmark and the records per task of its first fold only.
     """
 
     fits: dict[tuple, Discretizer] = field(default_factory=dict)
-    entries: dict[str, tuple[PoolEntry, tuple]] = field(default_factory=dict)
+    pools: dict[tuple, tuple[dict[str, PoolEntry], RetrievalIndex]] = field(default_factory=dict)
     vectors: dict[str, EmbeddingVector] = field(default_factory=dict)
     bound: tuple[Benchmark, int] | None = None
 
@@ -327,6 +341,10 @@ class FoldCache:
         if text not in self.vectors:
             self.vectors[text] = backend.embed(text)
         return self.vectors[text]
+
+    def index(self, discretizers: Mapping[str, Discretizer]) -> RetrievalIndex:
+        """The index over every task's entry under these (already built) discretizers."""
+        return self.pools[split_signature(discretizers)][1]
 
 
 def build_fold_artifacts(
@@ -348,10 +366,11 @@ def build_fold_artifacts(
     leaves out fix its fitting multiset, so the memo is keyed by the held-out
     values (as `float.hex`) and the training values are gathered only for a
     new fit. Canonical records depend on the discretizers only through the
-    split signature, (split points, level labels) per parameter, so an entry
-    last built or checked under this fold's signature is reused as is, and
-    under another only if every record keeps its discrete solution.
-    Otherwise it is rebuilt.
+    split signature, so the first fold under a signature builds every task's
+    entry (held-out tasks too; retrieval masks them out) and its
+    `RetrievalIndex` into `cache.pools`, and later folds under it only look
+    their entries up. A new signature reuses an entry of the last one when
+    every record keeps its discrete solution, and rebuilds it otherwise.
     """
     cache = FoldCache() if cache is None else cache
     cache.bound = cache.bound or (b, per_task)
@@ -374,17 +393,17 @@ def build_fold_artifacts(
         if key not in cache.fits:
             cache.fits[key] = fit_discretizer([r.solution.values[p.name] for r in top(train_ids)], p)
         discretizers[p.name] = cache.fits[key]
-    signature = tuple((d.split_points, d.level_labels) for d in discretizers.values())
-    entries = []
-    for tid in train_ids:
-        entry, checked = cache.entries.get(tid, (None, None))
-        if checked != signature:
-            rows = b.ranked_rows[tid][:per_task]
+    signature = split_signature(discretizers)
+    if signature not in cache.pools:
+        last = next(reversed(cache.pools.values()), None)
+        by_id = {}
+        for task in b.tasks:
+            rows = b.ranked_rows[task.task_id][:per_task]
+            entry = last[0][task.task_id] if last else None
             if entry is None or any(
                 discretize_solution(row.solution, b.space, discretizers) != exp.discrete_solution
                 for exp, row in zip(entry.experiences, rows)
             ):
-                task = b.task(tid)
                 entry = PoolEntry(
                     task=task,
                     embedding=cache.embed(backend, task.description),
@@ -393,9 +412,10 @@ def build_fold_artifacts(
                         for row in rows
                     ],
                 )
-            cache.entries[tid] = entry, signature
-        entries.append(entry)
-    return entries, discretizers
+            by_id[task.task_id] = entry
+        entries = list(by_id.values())
+        cache.pools[signature] = by_id, last[1].with_entries(entries) if last else RetrievalIndex(entries)
+    return list(map(cache.pools[signature][0].__getitem__, train_ids)), discretizers
 
 
 @dataclass(frozen=True)
@@ -479,7 +499,8 @@ def _copilot_solutions(
             _assert_no_leakage(record.prompt, task, twins)
             if prompt_sink is not None:
                 prompt_sink.append((task.task_id, record.prompt))
-    demos = retrieve_demos(cache.embed(backend, task.description), pool, sug_cfg, exclude=held)
+    query = cache.embed(backend, task.description)
+    demos = retrieve_demos(query, cache.index(discretizers), sug_cfg, exclude=held)
     result = suggest(
         task, demos, knowledge, b.space, discretizers, sug_cfg, backend,
         fallback=lambda: baseline_constant(b, train_ids, cfg.suggestion.n_suggestions),
@@ -505,8 +526,9 @@ def run_loo_eval(
     (`TOP_RECORDS` to fit on, `demos_per_task` to demonstrate); twins of the
     held-out task are excluded as well. One `FoldCache` serves the sweep: each
     distinct fitting multiset is fitted once, each description is embedded
-    once, and each task's pool entry is rebuilt only when the split points
-    move its records' levels (see `build_fold_artifacts`). A method failure on
+    once, and each split signature gets one retrieval index over every task's
+    entry, which a fold queries with its held-out ids masked out (see
+    `build_fold_artifacts`). A method failure on
     a task is recorded as the worst score and flagged instead of aborting the
     sweep.
     """

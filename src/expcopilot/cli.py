@@ -99,12 +99,12 @@ def cmd_ingest(cfg: AppConfig, history_paths, space_path, tasks_path, out_dir) -
         for p in space.parameters
         if p.kind == "numeric"
     }
-    # Canonical forms depend only on the solution, and histories repeat few solutions
-    # across many tasks, so each distinct solution is canonicalized once.
-    canonical: dict[tuple, tuple] = {}
+    # Canonical forms depend only on the solution, and records with equal values share
+    # one Solution object (see load_history), so each distinct solution is canonicalized once.
+    canonical: dict[int, tuple] = {}
     experiences = []
     for r in records:
-        key = tuple(r.solution.values.items())
+        key = id(r.solution)
         if key not in canonical:
             exp = canonicalize(r, space, discretizers)
             canonical[key] = exp.solution_text, exp.discrete_solution

@@ -14,7 +14,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -41,6 +41,14 @@ def check_int(name: str, value, least: int | None = None) -> int:
     if least is not None and value < least:
         raise ValidationError(f"{name} must be at least {least}")
     return value
+
+
+def check_strings(name: str, value) -> tuple[str, ...]:
+    """`value` as a tuple if it is a list or tuple of strings; a ValidationError otherwise
+    (a lone string would otherwise split into characters)."""
+    if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
+        raise ValidationError(f"{name} must be a list of strings, got {value!r}")
+    return tuple(value)
 
 
 def derive_seed(root: int, label: str) -> int:
@@ -211,6 +219,25 @@ def solution_key(space: SolutionSpace, solution: Solution) -> str:
         else:
             parts.append(f"{p.name}={v}")
     return "|".join(parts)
+
+
+def solution_reader(space: SolutionSpace) -> Callable[[object], tuple[Solution, str]]:
+    """`read(values)`: the `Solution` of `values` in `space` and its `solution_key`, built once
+    per distinct values. Tables and histories repeat few solutions over many rows, so rows
+    share them. The memo key is `repr(values)`, which tells -0.0 from 0.0 and 1 from 1.0;
+    values that fail validation raise and are never stored."""
+    memo: dict[str, tuple[Solution, str]] = {}
+
+    def read(values) -> tuple[Solution, str]:
+        key = repr(values)
+        if key not in memo:
+            if not isinstance(values, Mapping):
+                raise ValidationError(f"solution values must be an object, got {values!r}")
+            solution = Solution(space, values)
+            memo[key] = solution, solution_key(space, solution)
+        return memo[key]
+
+    return read
 
 
 @dataclass(frozen=True)

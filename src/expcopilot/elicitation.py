@@ -13,10 +13,10 @@ import random
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence, TypeVar
 
-from .core import Discretizer, SolutionSpace, Task, check_int
+from .core import Discretizer, SolutionSpace, Task, check_int, check_strings
 from .errors import ConfigError, ElicitationError, ExpCopilotError, GatewayError, ValidationError
 from .gateway import CompletionRequest
-from .retrieval import KnowledgeItem, PoolEntry
+from .retrieval import KnowledgeItem, PoolEntry, RetrievalIndex
 from .suggestion import SuggestionConfig, retrieve_demos, suggest
 
 DEFAULT_QUESTIONS = (
@@ -46,11 +46,11 @@ class ElicitationConfig:
     def __post_init__(self):
         for name in ("rounds", "patience", "subset_size", "max_tokens"):
             check_int(name, getattr(self, name), 1)
+        object.__setattr__(self, "questions", check_strings("questions", self.questions))
         if not self.questions:
             raise ValidationError("questions must be non-empty")
         if not (0.0 < self.val_fraction < 1.0):
             raise ValidationError("val_fraction must be within (0, 1)")
-        object.__setattr__(self, "questions", tuple(self.questions))
 
 
 @dataclass(frozen=True)
@@ -170,8 +170,9 @@ def elicit_knowledge(
                 "unless a validator is supplied"
             )
         gen_entries, val_entries = split_validation(entries, cfg.val_fraction, seed)
+        index = RetrievalIndex(gen_entries)
         queries = [
-            (e.task, retrieve_demos(e.embedding, gen_entries, suggestion_config, exclude={e.task.task_id}))
+            (e.task, retrieve_demos(e.embedding, index, suggestion_config, exclude={e.task.task_id}))
             for e in val_entries
         ]
 

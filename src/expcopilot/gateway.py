@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 
 import requests
 
+from .core import check_int
 from .errors import ConfigError, GatewayError, ValidationError
 from .retrieval import BOW_DIM, EmbeddingVector, hashed_bow_embedding
 
@@ -172,6 +173,8 @@ class ReplayBackend:
                 kind = request.get("kind", "complete")
                 if kind == "embed":
                     response = EmbeddingVector(values=tuple(response), model_tag=request.get("model", "replay"))
+                elif not isinstance(response, str):
+                    raise TypeError(f"a completion must be a string, got {response!r}")
             except (ValueError, KeyError, TypeError, AttributeError, ValidationError) as exc:
                 raise ConfigError(f"{path}:{line_no}: malformed cassette entry ({exc!r})") from exc
             self._responses.setdefault((kind, sha), deque()).append(response)
@@ -184,7 +187,7 @@ class ReplayBackend:
         return queue.popleft() if len(queue) > 1 else queue[0]
 
     def complete(self, req: CompletionRequest) -> str:
-        return str(self._next("complete", prompt_sha256(req.prompt)))
+        return self._next("complete", prompt_sha256(req.prompt))
 
     def embed(self, text: str) -> EmbeddingVector:
         return self._next("embed", prompt_sha256(text))
@@ -235,6 +238,8 @@ class HttpBackend:
             text = data["choices"][0]["text"]
         except (KeyError, IndexError, TypeError) as exc:
             raise GatewayError(f"malformed completion response: {exc}") from exc
+        if not isinstance(text, str):
+            raise GatewayError(f"malformed completion response: text must be a string, got {text!r}")
         self._journal(
             sha=prompt_sha256(req.prompt),
             request={
@@ -313,19 +318,30 @@ def embed_batch(backend, texts: Sequence[str], max_workers: int = 4) -> list[Emb
 def backend_from_config(cfg: dict) -> ScriptedBackend | ReplayBackend | HttpBackend:
     """Build a backend from its config mapping ({"kind": ..., ...})."""
 
-    def number(key: str, default, cast=int):
-        try:
-            value = cast(cfg.get(key, default))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"backend {key} must be a number, got {cfg[key]!r}") from exc
+    def positive(key: str, value):
         if not value > 0:
-            raise ConfigError(f"backend {key} must be positive, got {cfg[key]!r}")
+            raise ConfigError(f"backend {key} must be positive, got {cfg.get(key)!r}")
         return value
+
+    def integer(key: str, default: int) -> int:
+        try:
+            return positive(key, check_int(f"backend {key}", cfg.get(key, default)))
+        except ValidationError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    def timeout() -> float:
+        value = cfg.get("timeout", 30.0)
+        try:
+            if isinstance(value, bool):
+                raise TypeError("a bool is not a number")
+            return positive("timeout", float(value))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"backend timeout must be a number, got {value!r}") from exc
 
     kind = cfg.get("kind")
     if kind == "scripted":
         policy = NearestNeighborPolicy(default_completion=cfg.get("default_completion"))
-        return ScriptedBackend(policy=policy, embed_dim=number("embed_dim", BOW_DIM))
+        return ScriptedBackend(policy=policy, embed_dim=integer("embed_dim", BOW_DIM))
     if kind == "replay":
         if "cassette" not in cfg:
             raise ConfigError("replay backend requires a 'cassette' path")
@@ -338,9 +354,9 @@ def backend_from_config(cfg: dict) -> ScriptedBackend | ReplayBackend | HttpBack
             endpoint=cfg["endpoint"],
             model=cfg["model"],
             embed_model=cfg["embed_model"],
-            timeout=number("timeout", 30.0, float),
-            max_attempts=number("max_attempts", 3),
-            max_in_flight=number("max_in_flight", 4),
+            timeout=timeout(),
+            max_attempts=integer("max_attempts", 3),
+            max_in_flight=integer("max_in_flight", 4),
             journal_path=cfg.get("journal"),
         )
     raise ConfigError(f"unknown backend kind: {kind!r}")

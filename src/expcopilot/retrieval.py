@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import math
 import re
@@ -96,36 +97,100 @@ def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
     return float(np.dot(a.array, b.array) / (a.norm * b.norm))
 
 
+class RetrievalIndex:
+    """A pool stacked once for ranking by cosine similarity: the one implementation of retrieval.
+
+    It holds each embedding shape's stacked matrix and norms, each task id's
+    rank in Python string order, and the shortest demonstration block. A query
+    masks out the excluded ids, scores the rest with one `np.vecdot`, which
+    runs the per-pair dot kernel of `np.dot`, so every similarity equals
+    `cosine_similarity` bit for bit, keeps the k best (with every tie at the
+    k-th similarity) and orders them by (-similarity, task id).
+    """
+
+    def __init__(self, pool: Sequence[PoolEntry]):
+        self.entries = tuple(pool)
+        self._positions: dict[str, list[int]] = {}
+        groups: dict[tuple[str, int], list[int]] = {}
+        for i, entry in enumerate(self.entries):
+            self._positions.setdefault(entry.task.task_id, []).append(i)
+            groups.setdefault((entry.embedding.model_tag, len(entry.embedding.values)), []).append(i)
+        rank = {task_id: r for r, task_id in enumerate(sorted(self._positions))}
+        self._id_rank = np.array([rank[e.task.task_id] for e in self.entries], dtype=np.intp)
+        # Per shape: the rows it holds, their stacked vectors, their norms, and which
+        # entries of the pool it can score (its rows with a nonzero norm).
+        self._shapes = {}
+        for shape, rows in groups.items():
+            norms = np.array([self.entries[i].embedding.norm for i in rows])
+            scorable = np.zeros(len(self.entries), dtype=bool)
+            scorable[rows] = norms != 0.0
+            matrix = np.concatenate([self.entries[i].embedding.array for i in rows]).reshape(len(rows), -1)
+            self._shapes[shape] = np.array(rows, dtype=np.intp), matrix, norms, scorable
+
+    def with_entries(self, pool: Sequence[PoolEntry]) -> RetrievalIndex:
+        """An index over `pool`, whose entries hold this index's task ids and embeddings in
+        order; it shares this index's arrays instead of stacking them again."""
+        pool = tuple(pool)
+        if len(pool) != len(self.entries) or any(
+            a.task.task_id != b.task.task_id or a.embedding is not b.embedding
+            for a, b in zip(pool, self.entries)
+        ):
+            raise ValidationError("with_entries needs the same task ids and embeddings in the same order")
+        index = copy.copy(self)
+        index.__dict__.pop("shortest_block", None)
+        index.entries = pool
+        return index
+
+    @cached_property
+    def shortest_block(self) -> int:
+        """Length of the shortest demonstration block; 0 for an empty pool."""
+        return min((len(entry.block) for entry in self.entries), default=0)
+
+    def query(
+        self, query: EmbeddingVector, k: int, exclude: Collection[str] = ()
+    ) -> list[tuple[PoolEntry, float]]:
+        """The k entries most similar to `query`, descending, ties by task id, leaving out the
+        ids in `exclude`. An entry left in with another model tag or length, or a zero vector,
+        raises the error `cosine_similarity` gives the first such entry in pool order."""
+        if k < 1:
+            raise ValidationError("k must be at least 1")
+        keep = np.ones(len(self.entries), dtype=bool)
+        for task_id in exclude:
+            keep[self._positions.get(task_id, [])] = False
+        if not keep.any():
+            return []
+        group = self._shapes.get((query.model_tag, len(query.values)))
+        offending = keep & ~group[3] if group is not None and query.norm else keep
+        if offending.any():  # cosine_similarity raises for this entry
+            cosine_similarity(query, self.entries[int(np.argmax(offending))].embedding)
+        rows, matrix, norms, _ = group
+        # Excluded rows are scored too (a zero norm among them divides by zero) and dropped.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sims = np.vecdot(matrix, query.array) / (query.norm * norms)
+        kept = keep[rows]
+        rows, sims = rows[kept], sims[kept]
+        if k < len(rows):
+            kth = np.partition(sims, len(rows) - k)[len(rows) - k]
+            top = sims >= kth
+            rows, sims = rows[top], sims[top]
+        order = np.lexsort((self._id_rank[rows], -sims))[:k]
+        return [(self.entries[i], sim) for i, sim in zip(rows[order].tolist(), sims[order].tolist())]
+
+
 def retrieve_experience(
     query: EmbeddingVector,
-    pool: Sequence[PoolEntry],
+    pool: Sequence[PoolEntry] | RetrievalIndex,
     k: int,
     exclude: Collection[str] = (),
 ) -> list[tuple[PoolEntry, float]]:
     """The k pool tasks most similar to the query, descending; ties by task_id.
 
     `exclude` holds task ids that must not be retrieved (e.g. the evaluation
-    task itself during leave-one-out). The pool is scored by one `np.vecdot`,
-    which runs the per-pair dot kernel of `np.dot`, so every similarity equals
-    `cosine_similarity` bit for bit. An entry with another model tag or
-    length, or a zero vector, raises the error `cosine_similarity` gives it.
+    task itself during leave-one-out). A pool that is not yet a
+    `RetrievalIndex` is indexed first; see `RetrievalIndex.query`.
     """
-    if k < 1:
-        raise ValidationError("k must be at least 1")
-    excluded = set(exclude)
-    entries = [entry for entry in pool if entry.task.task_id not in excluded]
-    if not entries:
-        return []
-    vectors = [entry.embedding for entry in entries]
-    norms = np.array([v.norm for v in vectors])
-    shapes = {(v.model_tag, len(v.values)) for v in vectors}
-    if shapes != {(query.model_tag, len(query.values))} or not (query.norm and norms.all()):
-        for v in vectors:
-            cosine_similarity(query, v)
-    matrix = np.concatenate([v.array for v in vectors]).reshape(len(vectors), -1)
-    sims = (np.vecdot(matrix, query.array) / (query.norm * norms)).tolist()
-    scored = sorted(zip(entries, sims), key=lambda item: (-item[1], item[0].task.task_id))
-    return scored[:k]
+    index = pool if isinstance(pool, RetrievalIndex) else RetrievalIndex(pool)
+    return index.query(query, k, exclude)
 
 
 def retrieve_knowledge(space_id: str, knowledge_pool: Sequence[KnowledgeItem]) -> list[KnowledgeItem]:

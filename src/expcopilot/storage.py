@@ -16,9 +16,9 @@ from .core import (
     Discretizer,
     ExperienceRecord,
     ParameterDef,
-    Solution,
     SolutionSpace,
     Task,
+    solution_reader,
 )
 from .errors import ValidationError
 from .retrieval import EmbeddingVector, KnowledgeItem
@@ -174,12 +174,15 @@ def load_history(
     tasks_by_id: Mapping[str, Task],
     space: SolutionSpace,
 ) -> list[ExperienceRecord]:
-    """Read history records (task_id, values, metric), resolving tasks by id."""
+    """Read history records (task_id, values, metric), resolving tasks by id.
+    Records with equal `values` share one `Solution` (see `core.solution_reader`)."""
+    read_solution = solution_reader(space)
+
     def parse(d: Mapping) -> ExperienceRecord:
         task = tasks_by_id.get(d["task_id"])
         if task is None:
             raise ValidationError(f"unknown task_id {d['task_id']!r}")
-        return ExperienceRecord(task=task, solution=Solution(space, d["values"]), metric=float(d["metric"]))
+        return ExperienceRecord(task=task, solution=read_solution(d["values"])[0], metric=float(d["metric"]))
     return [record for path in paths for record in _load_records(path, parse)]
 
 

@@ -11,10 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Collection, Mapping, Sequence
 
-from .core import Discretizer, Solution, SolutionSpace, Task, check_int, discretize_solution
+from .core import Discretizer, Solution, SolutionSpace, Task, check_int, check_strings, discretize_solution
 from .errors import ParseError, ValidationError
 from .gateway import CONFIG_LINE, CompletionRequest, estimate_tokens, max_prompt_chars
-from .retrieval import EmbeddingVector, KnowledgeItem, PoolEntry, retrieve_experience, retrieve_knowledge
+from .retrieval import (
+    EmbeddingVector,
+    KnowledgeItem,
+    PoolEntry,
+    RetrievalIndex,
+    retrieve_experience,
+    retrieve_knowledge,
+)
 
 FILL_BUDGET = "fill-budget"
 
@@ -33,12 +40,15 @@ class SuggestionConfig:
     def __post_init__(self):
         for name, least in (("n_suggestions", 1), ("demos_per_task", 1), ("token_budget", 256), ("max_tokens", 1)):
             check_int(name, getattr(self, name), least)
-        if not (0.0 <= self.temperature <= 1.0):
-            raise ValidationError("temperature must be within [0, 1]")
+        t = self.temperature
+        if isinstance(t, bool) or not isinstance(t, (int, float)) or not (0.0 <= t <= 1.0):
+            raise ValidationError(f"temperature must be a number within [0, 1], got {self.temperature!r}")
         if self.k_tasks != FILL_BUDGET and (type(self.k_tasks) is not int or self.k_tasks < 1):
             raise ValidationError(f"k_tasks must be a positive integer or '{FILL_BUDGET}'")
+        if not isinstance(self.task_kind, str):
+            raise ValidationError(f"task_kind must be a string, got {self.task_kind!r}")
         if self.stop_sequences is not None:
-            object.__setattr__(self, "stop_sequences", tuple(self.stop_sequences))
+            object.__setattr__(self, "stop_sequences", check_strings("stop_sequences", self.stop_sequences))
 
 
 @dataclass(frozen=True)
@@ -194,18 +204,26 @@ def concretize(
 
 def retrieve_demos(
     query: EmbeddingVector,
-    pool: Sequence[PoolEntry],
+    pool: Sequence[PoolEntry] | RetrievalIndex,
     cfg: SuggestionConfig,
     exclude: Collection[str] = (),
 ) -> list[PoolEntry]:
     """The pool entries to demonstrate for the task embedded as `query`, most similar first.
 
-    Ranks the pool by cosine similarity, leaving out the task ids in
-    `exclude`, and keeps the k_tasks best, or every entry under fill-budget,
-    where `build_suggestion_prompt` cuts the list at the token budget.
+    Ranks the pool (indexed first unless it is a `RetrievalIndex`) by cosine
+    similarity, leaving out the task ids in `exclude`, and keeps the k_tasks
+    best. Under fill-budget `build_suggestion_prompt` cuts the list at the
+    token budget: each block it keeps costs its length plus 2 of at most
+    `max_prompt_chars(token_budget)` characters, so no prompt keeps more than
+    `max_prompt_chars(token_budget) // (shortest block + 2)` blocks, and
+    k is that bound plus 1.
     """
-    k = len(pool) if cfg.k_tasks == FILL_BUDGET else cfg.k_tasks
-    return [entry for entry, _ in retrieve_experience(query, pool, max(k, 1), exclude=exclude)]
+    index = pool if isinstance(pool, RetrievalIndex) else RetrievalIndex(pool)
+    if cfg.k_tasks == FILL_BUDGET:
+        k = max_prompt_chars(cfg.token_budget) // (index.shortest_block + 2) + 1
+    else:
+        k = cfg.k_tasks
+    return [entry for entry, _ in retrieve_experience(query, index, k, exclude=exclude)]
 
 
 def suggest(

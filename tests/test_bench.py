@@ -43,7 +43,7 @@ from expcopilot.core import (
 from expcopilot.elicitation import ElicitationConfig
 from expcopilot.errors import BenchmarkError, ConfigError, GatewayError, ValidationError
 from expcopilot.gateway import ScriptedBackend
-from expcopilot.retrieval import PoolEntry
+from expcopilot.retrieval import PoolEntry, RetrievalIndex
 from expcopilot.suggestion import SuggestionConfig
 
 
@@ -112,6 +112,30 @@ class TestLoadBenchmark:
         rows = [mini_row("mini-1", 0.25, "fast", 0.5), mini_row("mini-1", 0.25, "fast", 0.6)]
         root = write_bundle(tmp_path / "b", MINI_SPACE, [mini_task(1)], rows)
         with pytest.raises(BenchmarkError, match="duplicate"):
+            load_benchmark(root)
+
+    def test_signed_zeros_are_distinct_solutions(self, tmp_path):
+        # Rows share one Solution per distinct values; -0.0 and 0.0 must not be merged.
+        rows = [mini_row("mini-1", -0.0, "fast", 0.4), mini_row("mini-1", 0.5, "fast", 0.6),
+                mini_row("mini-2", 0.0, "fast", 0.4), mini_row("mini-2", 0.5, "fast", 0.6)]
+        b = load_benchmark(write_bundle(tmp_path / "b", MINI_SPACE, [mini_task(1), mini_task(2)], rows))
+        assert set(b.table["mini-1"]) == {"x=-0|mode=fast", "x=0.5|mode=fast"}
+        assert set(b.table["mini-2"]) == {"x=0|mode=fast", "x=0.5|mode=fast"}
+        signs = [math.copysign(1.0, b.rows[tid][0].solution.values["x"]) for tid in ("mini-1", "mini-2")]
+        assert signs == [-1.0, 1.0]
+        assert b.rows["mini-1"][1].solution is b.rows["mini-2"][1].solution
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [({"x": 0.25, "mode": "fast", "depth": 1}, "unknown parameter"),
+         ({"x": 0.25}, "missing a value"), ({"x": 0.25, "mode": "Fast"}, "not a valid choice"),
+         ([0.25, "fast"], "must be an object")],
+    )
+    def test_bad_row_after_a_good_lookalike_names_its_line(self, tmp_path, bad, error):
+        rows = [mini_row("mini-1", 0.25, "fast", 0.4), mini_row("mini-2", 0.25, "fast", 0.4),
+                {"task_id": "mini-2", "values": bad, "metric": 0.5}]
+        root = write_bundle(tmp_path / "b", MINI_SPACE, [mini_task(1), mini_task(2)], rows)
+        with pytest.raises(BenchmarkError, match=f"table.jsonl:3: .*{error}"):
             load_benchmark(root)
 
     def test_degenerate_bounds_rejected(self, tmp_path):
@@ -624,7 +648,14 @@ class TestFoldArtifacts:
                 want = reference_fold_artifacts(b, train_ids, ScriptedBackend())
                 # repr tells -0.0 from 0.0, which == does not.
                 assert got == want and repr(got) == repr(want)
-        assert backend.embed_calls == len({tid for train_ids in folds for tid in train_ids})
+                # The fold's index holds every task's entry; the training ones are the fold's.
+                index = cache.index(got[1])
+                assert [e.task.task_id for e in index.entries] == ids
+                by_id = {e.task.task_id: e for e in index.entries}
+                indexed = [by_id[tid] for tid in train_ids]
+                assert indexed == want[0] and repr(indexed) == repr(want[0])
+        # The first fold's index holds every task's entry, so every description is embedded.
+        assert backend.embed_calls == len(b.tasks)
         distinct = set().union(*(fitting_multisets(b, fold) for fold in folds))
         assert fit.call_count == len(distinct)
 
@@ -841,17 +872,10 @@ class TestRunLooEval:
                 bench._assert_no_leakage(prompt, held, [twin])
 
     def test_a_pool_holding_the_held_out_task_is_caught(self, synth_benchmark, monkeypatch):
-        # A fold that pools every task and retrieves without exclusion.
-        all_ids = [t.task_id for t in synth_benchmark.tasks]
-        fold, retrieve = bench.build_fold_artifacts, bench.retrieve_demos
-        monkeypatch.setattr(
-            bench, "build_fold_artifacts",
-            lambda b, train_ids, backend, cache, per_task: fold(b, all_ids, backend, cache, per_task),
-        )
-        monkeypatch.setattr(
-            bench, "retrieve_demos",
-            lambda query, pool, cfg, exclude: retrieve(query, pool, cfg),
-        )
+        # A fold's index holds the held-out task's entry too, and only the
+        # `exclude` mask keeps it out; an index that ignores the mask leaks it.
+        query = RetrievalIndex.query
+        monkeypatch.setattr(RetrievalIndex, "query", lambda index, q, k, exclude=(): query(index, q, k))
         with pytest.raises(AssertionError, match="held-out task"):
             run_loo_eval(synth_benchmark, "copilot", seeds=[0], backend=ScriptedBackend())
 

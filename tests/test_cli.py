@@ -14,7 +14,7 @@ from expcopilot import bench, cli, storage
 from expcopilot.cli import main
 from expcopilot.core import Task
 from expcopilot.errors import GatewayError, ParseError, ValidationError
-from expcopilot.gateway import ScriptedBackend, prompt_sha256
+from expcopilot.gateway import API_KEY_ENV, ScriptedBackend, prompt_sha256
 from expcopilot.retrieval import EmbeddingVector, PoolEntry, hashed_bow_embedding
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -769,9 +769,25 @@ class TestEval:
             ({"seed": 1.7}, "0"),
             ({"suggestion": {"token_budget": 3000.0}}, "0"),
             ({"elicitation": {"patience": True}}, "0"),
+            # A string where a list belongs would split into characters.
+            ({"suggestion": {"stop_sequences": "END"}}, "0"),
+            ({"elicitation": {"questions": "Q: why?"}}, "0"),
+            ({"suggestion": {"temperature": True}}, "0"),
+            ({"suggestion": {"task_kind": 5}}, "0"),
+            # Backend numbers are checked, not truncated.
+            ({"backend": {"kind": "scripted", "embed_dim": 2.7}}, "0"),
+            ({"backend": {"kind": "scripted", "embed_dim": True}}, "0"),
+            ({"backend": {"kind": "http", "endpoint": "http://localhost:9", "model": "m",
+                          "embed_model": "e", "max_attempts": 2.9}}, "0"),
+            ({"backend": {"kind": "http", "endpoint": "http://localhost:9", "model": "m",
+                          "embed_model": "e", "max_in_flight": 2.5}}, "0"),
+            ({"backend": {"kind": "http", "endpoint": "http://localhost:9", "model": "m",
+                          "embed_model": "e", "timeout": True}}, "0"),
         ],
     )
-    def test_bad_config_or_option_exits_2(self, runner, synth_dir, tmp_path, config, seeds):
+    def test_bad_config_or_option_exits_2(self, runner, synth_dir, tmp_path, monkeypatch, config, seeds):
+        # With a key set, a valid http backend config would be built and the run would pass.
+        monkeypatch.setenv(API_KEY_ENV, "test-key")
         args = ["eval", "--benchmark", str(synth_dir), "--methods", "random", "--seeds", seeds,
                 "--out-csv", str(tmp_path / "r.csv"), "--out-json", str(tmp_path / "r.json")]
         if config is not None:

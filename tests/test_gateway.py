@@ -177,6 +177,16 @@ class TestReplayBackend:
             ReplayBackend(cassette)
 
 
+    @pytest.mark.parametrize("response", [None, 5, ["text"]])
+    def test_non_string_completion_names_its_position(self, tmp_path, response):
+        # Replaying it as str(response) would not reproduce the live run.
+        cassette = tmp_path / "cassette.jsonl"
+        good = {"prompt_sha256": prompt_sha256("p"), "request": {"kind": "complete"}, "response": "r"}
+        bad = {"prompt_sha256": prompt_sha256("q"), "request": {"kind": "complete"}, "response": response}
+        cassette.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(ConfigError, match=f"{cassette}:2: malformed cassette entry.*must be a string"):
+            ReplayBackend(cassette)
+
 class _Handler(BaseHTTPRequestHandler):
     server_state: dict = {}
 
@@ -291,6 +301,15 @@ class TestHttpBackend:
         backend = make_backend(url, tmp_path)
         with pytest.raises(GatewayError, match="malformed embedding response"):
             backend.embed("bad vector")
+        assert not (tmp_path / "journal.jsonl").exists()
+
+    @pytest.mark.parametrize("text", [None, 5])
+    def test_non_string_completion_is_a_gateway_error_and_not_journaled(self, http_server, tmp_path, text):
+        url, state = http_server
+        state["completion"] = text
+        backend = make_backend(url, tmp_path)
+        with pytest.raises(GatewayError, match="text must be a string"):
+            backend.complete(CompletionRequest(prompt="null text"))
         assert not (tmp_path / "journal.jsonl").exists()
 
     def test_journal_replays_byte_identical(self, http_server, tmp_path):

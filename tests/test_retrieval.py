@@ -15,6 +15,7 @@ from expcopilot.retrieval import (
     EmbeddingVector,
     KnowledgeItem,
     PoolEntry,
+    RetrievalIndex,
     cosine_similarity,
     hashed_bow_embedding,
     retrieve_experience,
@@ -225,6 +226,64 @@ class TestVecdotScoring:
             retrieve_experience(query, pool, 4, exclude={"long", "other"})
         top = retrieve_experience(query, pool, 4, exclude={"long", "other", "zero"})
         assert [e.task.task_id for e, _ in top] == ["ok"]
+
+
+
+class TestRetrievalIndex:
+    @given(
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(0, 12),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_every_query_equals_a_full_sort(self, data, seed, size):
+        # One index serves many queries, as a sweep's index serves its folds.
+        # Few distinct vectors make exact ties that only the task ids order.
+        rng = np.random.default_rng(seed)
+        distinct = rng.normal(size=(3, 4)) * 10.0 ** rng.integers(-3, 4, size=(3, 4))
+        picks = data.draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
+        names = data.draw(st.permutations([f"t{i:02d}" for i in range(size)]))
+        pool = [entry(name, distinct[j]) for name, j in zip(names, picks)]
+        # Entries with another tag (t), another length (l) or a zero vector (z).
+        for pos, kind in data.draw(st.lists(st.tuples(st.integers(0, size), st.sampled_from("tlz")), max_size=2)):
+            values = {"t": distinct[0], "l": (1.0,) * 5, "z": (0.0,) * 4}[kind]
+            pool.insert(pos, PoolEntry(Task(f"bad{pos}{kind}", "s", "bad"), vec(*values, tag="o" if kind == "t" else "test"), ()))
+        index = RetrievalIndex(pool)
+        ids = [e.task.task_id for e in pool]
+        for _ in range(3):
+            query = vec(*distinct[data.draw(st.integers(0, 2))])
+            exclude = data.draw(st.sets(st.sampled_from(ids))) if ids else set()
+            k = data.draw(st.integers(1, len(pool) + 1))
+            try:
+                scored = [(e, cosine_similarity(query, e.embedding)) for e in pool if e.task.task_id not in exclude]
+            except ValidationError as exc:
+                with pytest.raises(ValidationError) as got:
+                    index.query(query, k, exclude)
+                assert str(got.value) == str(exc)
+            else:
+                want = sorted(scored, key=lambda item: (-item[1], item[0].task.task_id))[:k]
+                assert index.query(query, k, exclude) == want
+
+    def test_ties_at_the_kth_similarity_are_ordered_by_id(self):
+        # Partitioning at k must keep every tie, or a later id could displace an earlier one.
+        pool = [entry(name, (1.0, 0.0)) for name in ("e", "d", "c", "b", "a")] + [entry("z", (2.0, 0.0))]
+        top = RetrievalIndex(pool).query(vec(1.0, 0.0), 3)
+        assert [e.task.task_id for e, _ in top] == ["a", "b", "c"]
+
+    def test_a_zero_query_fails_on_the_first_kept_entry(self):
+        pool = [entry("zero", (0.0, 0.0)), entry("ok", (1.0, 0.0))]
+        with pytest.raises(ValidationError, match="zero vector"):
+            RetrievalIndex(pool).query(vec(0.0, 0.0), 1, exclude={"zero"})
+
+    def test_with_entries_shares_the_vectors(self):
+        pool = [entry("a", (1.0, 0.0)), entry("b", (0.0, 1.0))]
+        index = RetrievalIndex(pool)
+        texts = [CanonicalExperience(e.task.task_id, "s", "cost is low.", {}, 0.0) for e in pool]
+        other = index.with_entries([PoolEntry(e.task, e.embedding, [t]) for e, t in zip(pool, texts)])
+        assert other.shortest_block > index.shortest_block == len("Dataset: desc a")
+        assert [e.experiences for e, _ in other.query(vec(0.0, 1.0), 2)] == [(texts[1],), (texts[0],)]
+        with pytest.raises(ValidationError, match="same task ids"):
+            index.with_entries([entry("a", (1.0, 0.0)), pool[1]])
 
 
 def item(space_id, score, text="guideline"):

@@ -1,13 +1,15 @@
-"""JSONL reading: the line decoder against per-line `json.loads`."""
+"""JSONL reading: the line decoder against per-line `json.loads`; history records."""
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expcopilot.errors import ValidationError
-from expcopilot.storage import read_jsonl
+from expcopilot.core import ParameterDef, SolutionSpace, Task
+from expcopilot.storage import load_history, read_jsonl
 
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
@@ -66,3 +68,30 @@ def test_read_jsonl_of_a_file_that_is_not_utf8_names_it(tmp_path):
     path.write_bytes('{"name": "café"}\n'.encode("latin-1"))
     with pytest.raises(ValidationError, match="latin1.jsonl: not UTF-8"):
         read_jsonl(path)
+
+
+SPACE = SolutionSpace("s", "a space.", (ParameterDef("x", "numeric", numeric_range=(-1.0, 1.0)),))
+TASKS = {tid: Task(tid, "s", f"task {tid}") for tid in ("a", "b")}
+
+
+def test_history_shares_solutions_but_keeps_signed_zeros(tmp_path):
+    path = tmp_path / "h.jsonl"
+    values = [-0.0, 0.0, 0.5, 0.5]
+    path.write_text("".join(
+        json.dumps({"task_id": tid, "values": {"x": x}, "metric": 0.1}) + "\n"
+        for tid, x in zip("abab", values)
+    ))
+    records = load_history([path], TASKS, SPACE)
+    assert [math.copysign(1.0, r.solution.values["x"]) for r in records] == [-1.0, 1.0, 1.0, 1.0]
+    assert records[0].solution is not records[1].solution
+    assert records[2].solution is records[3].solution
+
+
+def test_history_bad_row_after_a_good_lookalike_names_its_line(tmp_path):
+    path = tmp_path / "h.jsonl"
+    rows = [{"x": 0.5}, {"x": 0.5}, {"x": 0.5, "y": 0.5}]
+    path.write_text("".join(
+        json.dumps({"task_id": "a", "values": v, "metric": 0.1}) + "\n" for v in rows
+    ))
+    with pytest.raises(ValidationError, match=f"{path}:3: malformed record.*unknown parameter"):
+        load_history([path], TASKS, SPACE)

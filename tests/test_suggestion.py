@@ -5,7 +5,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from expcopilot.bench import build_fold_artifacts
@@ -130,6 +130,27 @@ class TestBuildSuggestionPrompt:
         assert len(demos) == 1
         prompt = build_suggestion_prompt(svm_space, gina_task, demos, guideline_items, cfg)
         assert prompt.count("Dataset:") == 2  # one demo block plus the query
+
+    # Descriptions long enough that the pool always holds more entries than the bound.
+    @given(lengths=st.lists(st.integers(40, 120), min_size=30, max_size=40), budget=st.integers(256, 300))
+    @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_fill_budget_retrieves_the_bound_and_prompts_as_without_it(self, svm_space, gina_task, lengths, budget):
+        # The bound is max_prompt_chars // (shortest block + 2) + 1 entries; the
+        # prompt from them equals the prompt from the whole ranking.
+        pool = [
+            PoolEntry(Task(f"t{i:02d}", svm_space.space_id, "d" * n), EmbeddingVector((1.0, float(i)), "e"), ())
+            for i, n in enumerate(lengths)
+        ]
+        cfg = SuggestionConfig(token_budget=budget)
+        query = EmbeddingVector((1.0, 0.0), "e")
+        demos = retrieve_demos(query, pool, cfg)
+        bound = budget * CHARS_PER_TOKEN // (len("Dataset: ") + min(lengths) + 2) + 1
+        assert len(demos) == bound < len(pool)
+        every = retrieve_demos(query, pool, replace(cfg, k_tasks=len(pool)))
+        assert demos == every[: len(demos)]
+        assert build_suggestion_prompt(svm_space, gina_task, demos, [], cfg) == build_suggestion_prompt(
+            svm_space, gina_task, every, [], cfg
+        )
 
     def test_section_order_is_fixed(
         self, svm_space, online_demo_entries, guideline_items, gina_task
