@@ -189,6 +189,8 @@ class Solution:
                 raise ValidationError(f"solution is missing a value for parameter '{p.name}'")
             v = values[p.name]
             if p.kind == "numeric":
+                if isinstance(v, bool) or not isinstance(v, (int, float)):
+                    raise ValidationError(f"parameter '{p.name}': value {v!r} is not a number")
                 x = float(v)
                 lo, hi = p.numeric_range
                 if not math.isfinite(x):

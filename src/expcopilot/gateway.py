@@ -36,6 +36,8 @@ CONFIG_LINE = re.compile(r"^\s*configuration\s+\d+\s*:\s*(?P<body>.*)$", re.IGNO
 
 CHARS_PER_TOKEN = 4  # of the prompt-budget estimate
 
+EMBED_CHUNK = 2048  # the most inputs one OpenAI-compatible /embeddings request takes
+
 
 def estimate_tokens(text: str) -> int:
     """Token-count heuristic used for prompt budgeting: ceil(chars / 4)."""
@@ -207,7 +209,6 @@ class HttpBackend:
         timeout: float = 30.0,
         max_attempts: int = 3,
         backoff: Sequence[float] = (1.0, 2.0, 4.0),
-        max_in_flight: int = 4,
         journal_path: str | Path | None = None,
     ):
         self.endpoint = endpoint.rstrip("/")
@@ -220,17 +221,12 @@ class HttpBackend:
         self.timeout = timeout
         self.max_attempts = max_attempts
         self.backoff = tuple(backoff)
-        self._sem = threading.BoundedSemaphore(max_in_flight)
         self._journal_path = Path(journal_path) if journal_path else None
         self._journal_lock = threading.Lock()
 
     def complete(self, req: CompletionRequest) -> str:
-        body: dict = {
-            "model": self.model,
-            "prompt": req.prompt,
-            "temperature": req.temperature,
-            "max_tokens": req.max_tokens,
-        }
+        body: dict = {"model": self.model, "prompt": req.prompt, "temperature": req.temperature,
+                      "max_tokens": req.max_tokens}
         if req.stop_sequences:
             body["stop"] = list(req.stop_sequences)
         data = self._post("/completions", body)
@@ -240,34 +236,34 @@ class HttpBackend:
             raise GatewayError(f"malformed completion response: {exc}") from exc
         if not isinstance(text, str):
             raise GatewayError(f"malformed completion response: text must be a string, got {text!r}")
-        self._journal(
-            sha=prompt_sha256(req.prompt),
-            request={
-                "kind": "complete",
-                "model": self.model,
-                "temperature": req.temperature,
-                "max_tokens": req.max_tokens,
-                "stop": list(req.stop_sequences) if req.stop_sequences else None,
-            },
-            response=text,
-        )
+        request = {"kind": "complete", "model": self.model, "temperature": req.temperature,
+                   "max_tokens": req.max_tokens, "stop": body.get("stop")}
+        self._journal(prompt_sha256(req.prompt), request, text)
         return text
 
     def embed(self, text: str) -> EmbeddingVector:
-        if not text:
+        return self.embed_many([text])[0]
+
+    def embed_many(self, texts: Sequence[str]) -> list[EmbeddingVector]:
+        """One request per `EMBED_CHUNK` texts; each vector is checked, then journalled, in input order."""
+        if not all(texts):
             raise GatewayError("cannot embed empty text")
-        data = self._post("/embeddings", {"model": self.embed_model, "input": text})
-        try:
-            values = tuple(data["data"][0]["embedding"])
-            vector = EmbeddingVector(values=values, model_tag=self.embed_model)
-        except (KeyError, IndexError, TypeError, ValueError, ValidationError) as exc:
-            raise GatewayError(f"malformed embedding response: {exc}") from exc
-        self._journal(
-            sha=prompt_sha256(text),
-            request={"kind": "embed", "model": self.embed_model},
-            response=list(values),
-        )
-        return vector
+        vectors: list[EmbeddingVector] = []
+        for start in range(0, len(texts), EMBED_CHUNK):
+            chunk = texts[start : start + EMBED_CHUNK]
+            data = self._post("/embeddings", {"model": self.embed_model, "input": list(chunk)})
+            try:
+                rows = sorted(data["data"], key=lambda row: row["index"])
+                if [row["index"] for row in rows] != list(range(len(chunk))):
+                    raise ValueError(f"indices {[row['index'] for row in rows]} for {len(chunk)} inputs")
+                raw = [list(row["embedding"]) for row in rows]
+                batch = [EmbeddingVector(values=tuple(values), model_tag=self.embed_model) for values in raw]
+            except (KeyError, TypeError, ValueError, ValidationError) as exc:
+                raise GatewayError(f"malformed embedding response: {exc}") from exc
+            for text, values in zip(chunk, raw):
+                self._journal(prompt_sha256(text), {"kind": "embed", "model": self.embed_model}, values)
+            vectors += batch
+        return vectors
 
     def _post(self, route: str, body: dict) -> dict:
         url = self.endpoint + route
@@ -275,8 +271,7 @@ class HttpBackend:
         last_detail = "no attempts made"
         for attempt in range(self.max_attempts):
             try:
-                with self._sem:
-                    resp = requests.post(url, json=body, headers=headers, timeout=self.timeout)
+                resp = requests.post(url, json=body, headers=headers, timeout=self.timeout)
             except (requests.Timeout, requests.ConnectionError) as exc:
                 last_detail = f"{type(exc).__name__}: {exc}"
             else:
@@ -295,28 +290,23 @@ class HttpBackend:
     def _journal(self, sha: str, request: dict, response: object) -> None:
         if self._journal_path is None:
             return
-        line = json.dumps(
-            {"prompt_sha256": sha, "request": request, "response": response},
-            sort_keys=True,
-        )
-        with self._journal_lock:
-            with self._journal_path.open("a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+        line = json.dumps({"prompt_sha256": sha, "request": request, "response": response}, sort_keys=True)
+        with self._journal_lock, self._journal_path.open("a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
 
 
-def embed_batch(backend, texts: Sequence[str], max_workers: int = 4) -> list[EmbeddingVector]:
-    """Embed many texts, preserving input order; concurrent for live backends."""
-    texts = list(texts)
-    if isinstance(backend, HttpBackend) and len(texts) > 1:
-        from concurrent.futures import ThreadPoolExecutor
+def embed_batch(backend, texts: Sequence[str]) -> list[EmbeddingVector]:
+    """Embed many texts in input order; batched requests for the live backend."""
+    return backend.embed_many(texts) if isinstance(backend, HttpBackend) else [backend.embed(t) for t in texts]
 
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(backend.embed, texts))
-    return [backend.embed(text) for text in texts]
+
+# Every kind's keys: `suggest --backend KIND` swaps the kind and keeps the others' keys.
+BACKEND_KEYS = {"kind", "default_completion", "embed_dim", "cassette", "endpoint", "model",
+                "embed_model", "timeout", "max_attempts", "journal"}
 
 
 def backend_from_config(cfg: dict) -> ScriptedBackend | ReplayBackend | HttpBackend:
-    """Build a backend from its config mapping ({"kind": ..., ...})."""
+    """Build a backend from its config mapping ({"kind": ..., ...}); a key no kind reads is an error."""
 
     def positive(key: str, value):
         if not value > 0:
@@ -338,6 +328,8 @@ def backend_from_config(cfg: dict) -> ScriptedBackend | ReplayBackend | HttpBack
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"backend timeout must be a number, got {value!r}") from exc
 
+    if unknown := sorted(set(cfg) - BACKEND_KEYS):
+        raise ConfigError(f"unknown backend key(s) {unknown}")
     kind = cfg.get("kind")
     if kind == "scripted":
         policy = NearestNeighborPolicy(default_completion=cfg.get("default_completion"))
@@ -356,7 +348,6 @@ def backend_from_config(cfg: dict) -> ScriptedBackend | ReplayBackend | HttpBack
             embed_model=cfg["embed_model"],
             timeout=timeout(),
             max_attempts=integer("max_attempts", 3),
-            max_in_flight=integer("max_in_flight", 4),
             journal_path=cfg.get("journal"),
         )
     raise ConfigError(f"unknown backend kind: {kind!r}")

@@ -138,6 +138,13 @@ class TestLoadBenchmark:
         with pytest.raises(BenchmarkError, match=f"table.jsonl:3: .*{error}"):
             load_benchmark(root)
 
+    @pytest.mark.parametrize("x", ["0.5", True, " 1e-1 "])
+    def test_numeric_value_that_is_not_a_json_number_names_its_line(self, tmp_path, x):
+        rows = [mini_row("mini-1", 0.25, "fast", 0.4), mini_row("mini-1", x, "fast", 0.5)]
+        root = write_bundle(tmp_path / "b", MINI_SPACE, [mini_task(1)], rows)
+        with pytest.raises(BenchmarkError, match="table.jsonl:2: .*is not a number"):
+            load_benchmark(root)
+
     def test_degenerate_bounds_rejected(self, tmp_path):
         rows = [
             mini_row("mini-1", 0.25, "fast", 0.5),

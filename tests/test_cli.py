@@ -746,6 +746,7 @@ class TestEval:
                           "embed_model": "e", "timeout": "soon"}}, "0"),
             ({"backend": {"kind": "http", "endpoint": "http://localhost:9", "model": "m",
                           "embed_model": "e", "max_attempts": "many"}}, "0"),
+            # max_in_flight is gone, so it exits 2 as a key that no backend kind reads.
             ({"backend": {"kind": "http", "endpoint": "http://localhost:9", "model": "m",
                           "embed_model": "e", "max_in_flight": [4]}}, "0"),
             ({"backend": {"kind": "scripted", "embed_dim": 0}}, "0"),
@@ -783,6 +784,8 @@ class TestEval:
                           "embed_model": "e", "max_in_flight": 2.5}}, "0"),
             ({"backend": {"kind": "http", "endpoint": "http://localhost:9", "model": "m",
                           "embed_model": "e", "timeout": True}}, "0"),
+            # A typo would silently run with the default number of attempts.
+            ({"backend": {"kind": "scripted", "max_attemps": 3}}, "0"),
         ],
     )
     def test_bad_config_or_option_exits_2(self, runner, synth_dir, tmp_path, monkeypatch, config, seeds):

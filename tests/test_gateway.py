@@ -1,14 +1,18 @@
 """Backend tests: scripted policy, replay cassettes, and the HTTP client contract."""
 
+import hashlib
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
+from expcopilot import gateway
 from expcopilot.bench import build_fold_artifacts
+from expcopilot.cli import main
 from expcopilot.elicitation import ElicitationConfig, elicit_knowledge
 from expcopilot.errors import ConfigError, GatewayError, ValidationError
 from expcopilot.gateway import (
@@ -19,6 +23,7 @@ from expcopilot.gateway import (
     ReplayBackend,
     ScriptedBackend,
     backend_from_config,
+    embed_batch,
     estimate_tokens,
     max_prompt_chars,
     prompt_sha256,
@@ -187,6 +192,20 @@ class TestReplayBackend:
         with pytest.raises(ConfigError, match=f"{cassette}:2: malformed cassette entry.*must be a string"):
             ReplayBackend(cassette)
 
+def stub_vector(text):
+    """The stub's embedding of `text`: distinct per text, so order is observable."""
+    return [(1 + b) / 256 for b in hashlib.sha256(text.encode()).digest()[:3]]
+
+
+# Ways a stub answer for two texts can break the index contract of the batched route.
+MANGLED_ROWS = {
+    "missing index": lambda rows: [{"embedding": rows[0]["embedding"]}, rows[1]],
+    "duplicate index": lambda rows: [rows[0], rows[0]],
+    "index out of range": lambda rows: [rows[0], {**rows[1], "index": 2}],
+    "short data list": lambda rows: rows[:1],
+}
+
+
 class _Handler(BaseHTTPRequestHandler):
     server_state: dict = {}
 
@@ -208,7 +227,12 @@ class _Handler(BaseHTTPRequestHandler):
             text = state.get("by_temperature", {}).get(body["temperature"], text)
             payload = {"choices": [{"text": text}]}
         else:
-            payload = {"data": [{"embedding": state.get("embedding", [0.3, 0.4, 0.5])}]}
+            # One vector per input text, listed in reverse order with its index.
+            rows = [
+                {"index": i, "embedding": state["embedding"] if "embedding" in state else stub_vector(text)}
+                for i, text in enumerate(body["input"])
+            ][::-1]
+            payload = {"data": state.get("rows", lambda rows: rows)(rows)}
         raw = json.dumps(payload).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
@@ -290,18 +314,41 @@ class TestHttpBackend:
         url, state = http_server
         backend = make_backend(url)
         vector = backend.embed("embed this")
-        assert vector.values == (0.3, 0.4, 0.5)
+        assert vector.values == tuple(stub_vector("embed this"))
         assert vector.model_tag == "test-embed"
-        assert state["requests"][0]["body"] == {"model": "test-embed", "input": "embed this"}
+        assert state["requests"][0]["body"] == {"model": "test-embed", "input": ["embed this"]}
 
-    @pytest.mark.parametrize("embedding", [["a"], [None], [], [float("nan")]])
-    def test_malformed_embedding_is_a_gateway_error_and_not_journaled(self, http_server, tmp_path, embedding):
+    def test_single_text_journal_line_keeps_its_bytes(self, http_server, tmp_path):
         url, state = http_server
-        state["embedding"] = embedding
+        state["embedding"] = [0.3, 0.4, 0.5]
+        make_backend(url, tmp_path).embed("journal me")
+        sha = prompt_sha256("journal me")
+        assert (tmp_path / "journal.jsonl").read_text() == (
+            f'{{"prompt_sha256": "{sha}", "request": {{"kind": "embed", "model": "test-embed"}}, '
+            '"response": [0.3, 0.4, 0.5]}\n'
+        )
+
+    @pytest.mark.parametrize(
+        "embedding, rows",
+        [(["a"], None), ([None], None), ([], None), ([float("nan")], None)]
+        + [(None, name) for name in MANGLED_ROWS],
+    )
+    def test_malformed_embedding_is_a_gateway_error_and_not_journaled(self, http_server, tmp_path, embedding, rows):
+        url, state = http_server
+        if embedding is not None:
+            state["embedding"] = embedding
+        if rows is not None:
+            state["rows"] = MANGLED_ROWS[rows]
         backend = make_backend(url, tmp_path)
         with pytest.raises(GatewayError, match="malformed embedding response"):
-            backend.embed("bad vector")
+            backend.embed_many(["bad vector", "second text"])
         assert not (tmp_path / "journal.jsonl").exists()
+
+    def test_empty_text_is_rejected_before_any_request(self, http_server):
+        url, state = http_server
+        with pytest.raises(GatewayError, match="empty text"):
+            make_backend(url).embed_many(["some text", ""])
+        assert state["requests"] == []
 
     @pytest.mark.parametrize("text", [None, 5])
     def test_non_string_completion_is_a_gateway_error_and_not_journaled(self, http_server, tmp_path, text):
@@ -378,25 +425,57 @@ class TestHttpBackend:
 
 class TestEmbedBatch:
     def test_scripted_preserves_order(self):
-        from expcopilot.gateway import embed_batch
-
         backend = ScriptedBackend()
         texts = [f"document number {i}" for i in range(6)]
         batch = embed_batch(backend, texts)
         assert batch == [backend.embed(t) for t in texts]
 
-    def test_http_concurrent_results_are_order_preserving(self, http_server):
-        from expcopilot.gateway import embed_batch
-
+    def test_http_sends_one_request_and_keeps_input_order(self, http_server, tmp_path):
         url, state = http_server
-        backend = make_backend(url)
         texts = [f"text {i}" for i in range(8)]
-        batch = embed_batch(backend, texts, max_workers=4)
-        assert len(batch) == 8
-        # All stub embeddings are identical; order preservation is observable
-        # through the recorded request count and stable output length.
-        assert len(state["requests"]) == 8
-        assert all(vec.model_tag == "test-embed" for vec in batch)
+        batch = embed_batch(make_backend(url, tmp_path), texts)
+        assert [r["body"]["input"] for r in state["requests"]] == [texts]
+        assert [vec.values for vec in batch] == [tuple(stub_vector(t)) for t in texts]
+        journal = [json.loads(line) for line in (tmp_path / "journal.jsonl").read_text().splitlines()]
+        assert [entry["prompt_sha256"] for entry in journal] == [prompt_sha256(t) for t in texts]
+
+    def test_http_sends_one_request_per_chunk(self, http_server, monkeypatch):
+        url, state = http_server
+        monkeypatch.setattr(gateway, "EMBED_CHUNK", 3)
+        texts = [f"text {i}" for i in range(8)]
+        batch = embed_batch(make_backend(url), texts)
+        assert [r["body"]["input"] for r in state["requests"]] == [texts[:3], texts[3:6], texts[6:]]
+        assert [vec.values for vec in batch] == [tuple(stub_vector(t)) for t in texts]
+
+
+def test_ingest_over_http_journals_in_task_order_and_replays_byte_identical(
+    http_server, tmp_path, monkeypatch, synth_dir
+):
+    url, state = http_server
+    monkeypatch.setenv(API_KEY_ENV, "sk-test")
+    journal = tmp_path / "journal.jsonl"
+    backends = {
+        "live": {"kind": "http", "endpoint": url, "model": "test-model", "embed_model": "test-embed",
+                 "journal": str(journal)},
+        "replay": {"kind": "replay", "cassette": str(journal)},
+    }
+    for name, backend in backends.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps({"backend": backend}))
+        result = CliRunner().invoke(main, [
+            "ingest", "--config", str(tmp_path / f"{name}.json"), "--history", str(synth_dir / "table.jsonl"),
+            "--space", str(synth_dir / "space.json"), "--tasks", str(synth_dir / "tasks.jsonl"),
+            "--out", str(tmp_path / name),
+        ])
+        assert result.exit_code == 0, result.output
+    descriptions = [json.loads(line)["description"] for line in (synth_dir / "tasks.jsonl").read_text().splitlines()]
+    assert len(descriptions) >= 6
+    assert [r["body"]["input"] for r in state["requests"] if r["path"].endswith("/embeddings")] == [descriptions]
+    entries = [json.loads(line) for line in journal.read_text().splitlines()]
+    assert [e["prompt_sha256"] for e in entries if e["request"]["kind"] == "embed"] == [
+        prompt_sha256(d) for d in descriptions
+    ]
+    for name in ("embeddings.jsonl", "pool.jsonl", "discretizers.json"):
+        assert (tmp_path / "live" / name).read_bytes() == (tmp_path / "replay" / name).read_bytes()
 
 
 class TestBackendFactory:
@@ -414,8 +493,7 @@ class TestBackendFactory:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("max_in_flight", -1), ("max_in_flight", 0), ("max_attempts", 0), ("timeout", -5),
-         ("timeout", 0), ("timeout", "nan"), ("embed_dim", 0)],
+        [("max_attempts", 0), ("timeout", -5), ("timeout", 0), ("timeout", "nan"), ("embed_dim", 0)],
     )
     def test_numbers_must_be_positive(self, monkeypatch, key, value):
         # With a key set, the http backend would otherwise be built.
@@ -428,6 +506,16 @@ class TestBackendFactory:
     def test_smallest_valid_numbers_accepted(self, monkeypatch):
         monkeypatch.setenv(API_KEY_ENV, "test-key")
         backend = backend_from_config({"kind": "http", "endpoint": "http://localhost:9", "model": "m",
-                                       "embed_model": "e", "max_in_flight": 1, "max_attempts": 1,
-                                       "timeout": 0.5})
+                                       "embed_model": "e", "max_attempts": 1, "timeout": 0.5})
         assert (backend.max_attempts, backend.timeout) == (1, 0.5)
+
+    @pytest.mark.parametrize("key", ["max_attemps", "max_in_flight"])
+    def test_a_key_no_kind_reads_is_named(self, key):
+        with pytest.raises(ConfigError, match=f"unknown backend key.*'{key}'"):
+            backend_from_config({"kind": "scripted", key: 3})
+
+    def test_keys_of_other_kinds_are_kept(self):
+        # `suggest --backend scripted` keeps the http settings of the config.
+        cfg = {"kind": "scripted", "endpoint": "http://localhost:9", "model": "m", "embed_model": "e",
+               "timeout": 5, "max_attempts": 2, "journal": "j.jsonl", "cassette": "c.jsonl"}
+        assert isinstance(backend_from_config(cfg), ScriptedBackend)

@@ -95,3 +95,13 @@ def test_history_bad_row_after_a_good_lookalike_names_its_line(tmp_path):
     ))
     with pytest.raises(ValidationError, match=f"{path}:3: malformed record.*unknown parameter"):
         load_history([path], TASKS, SPACE)
+
+
+@pytest.mark.parametrize("x", ["0.5", True, " 1e-1 "])
+def test_history_numeric_value_that_is_not_a_json_number_names_its_line(tmp_path, x):
+    path = tmp_path / "h.jsonl"
+    path.write_text("".join(
+        json.dumps({"task_id": "a", "values": {"x": v}, "metric": 0.1}) + "\n" for v in (0.5, x)
+    ))
+    with pytest.raises(ValidationError, match=f"{path}:2: malformed record.*is not a number"):
+        load_history([path], TASKS, SPACE)
