@@ -27,10 +27,10 @@ from .core import (
     Task,
     canonicalize,
     check_direction,
+    check_number,
     derive_seed,
     discretize_solution,
     fit_discretizer,
-    rank_by_task,
     solution_key,
     solution_reader,
 )
@@ -51,7 +51,8 @@ class Row(NamedTuple):
 
 @dataclass(frozen=True)
 class Benchmark:
-    """A lookup table of (task, solution) -> metric with normalization constants."""
+    """A lookup table of (task, solution) -> metric with normalization constants;
+    each task's `rows` are kept best first under the direction, stable on ties."""
 
     name: str
     space: SolutionSpace
@@ -63,6 +64,11 @@ class Benchmark:
     twins: Mapping[str, tuple[str, ...]]
     task_kind: str = "classification dataset"
 
+    def __post_init__(self):
+        sign = -1.0 if check_direction(self.direction) == "higher" else 1.0
+        ranked = {tid: tuple(sorted(rows, key=lambda r: sign * r.metric)) for tid, rows in self.rows.items()}
+        object.__setattr__(self, "rows", ranked)
+
     def task(self, task_id: str) -> Task:
         task = self._tasks_by_id.get(task_id)
         if task is None:
@@ -72,12 +78,6 @@ class Benchmark:
     @cached_property
     def _tasks_by_id(self) -> dict[str, Task]:
         return {t.task_id: t for t in self.tasks}
-
-    @cached_property
-    def ranked_rows(self) -> Mapping[str, tuple[Row, ...]]:
-        """Each task's rows, best metric first under the direction, stable on ties."""
-        triples = ((tid, row.metric, row) for tid, rows in self.rows.items() for row in rows)
-        return {tid: tuple(rows) for tid, rows in rank_by_task(triples, self.direction).items()}
 
     @cached_property
     def normalized_table(self) -> tuple[tuple[str, ...], dict[str, int], np.ndarray]:
@@ -106,7 +106,7 @@ def load_benchmark(path: str | Path) -> Benchmark:
     try:
         meta = json.loads((root / "meta.json").read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
-        raise BenchmarkError(f"cannot read benchmark meta: {exc}") from exc
+        raise BenchmarkError(f"cannot read meta.json: {exc}") from exc
     if not isinstance(meta, dict) or "direction" not in meta:
         raise BenchmarkError("meta.json must be a JSON object with a 'direction'")
     direction = check_direction(meta["direction"])
@@ -127,7 +127,7 @@ def load_benchmark(path: str | Path) -> Benchmark:
             task_id = d["task_id"]
             if task_id not in rows:
                 raise BenchmarkError(f"unknown task '{task_id}'")
-            metric = float(d["metric"])
+            metric = check_number("metric", d["metric"])
             if not math.isfinite(metric):
                 raise BenchmarkError("metric is not finite")
             solution, key = read_solution(d["values"])
@@ -147,8 +147,8 @@ def load_benchmark(path: str | Path) -> Benchmark:
             raise BenchmarkError(f"task '{t.task_id}' has no table rows")
         if t.task_id in declared:
             try:
-                lo, hi = (float(declared[t.task_id][0]), float(declared[t.task_id][1]))
-            except (IndexError, KeyError, TypeError, ValueError) as exc:
+                lo, hi = (check_number("bound", x) for x in declared[t.task_id])
+            except (TypeError, ValueError, ValidationError) as exc:
                 raise BenchmarkError(f"meta.json norm_bounds for '{t.task_id}': {exc}") from exc
         else:
             metrics = [r.metric for r in rows[t.task_id]]
@@ -185,7 +185,7 @@ def load_benchmark(path: str | Path) -> Benchmark:
         space=space,
         tasks=tuple(tasks),
         direction=direction,
-        rows={tid: tuple(rs) for tid, rs in rows.items()},
+        rows=rows,
         table=table,
         norm_bounds=bounds,
         twins=twins,
@@ -308,7 +308,7 @@ def baseline_nearest_task(
 
     out: list[Solution] = []
     for i in order:
-        for row in b.ranked_rows[train_tasks[i].task_id]:
+        for row in b.rows[train_tasks[i].task_id]:
             out.append(row.solution)
             if len(out) == n:
                 return out
@@ -327,8 +327,8 @@ class FoldCache:
     `pools` maps a split signature to every task's pool entry under it, by
     task id, and the `RetrievalIndex` over those entries in task order; a fold
     retrieves from its signature's index with its held-out ids and twins
-    masked out. All indexes of a sweep share one set of stacked vectors. A
-    cache serves the benchmark and the records per task of its first fold only.
+    masked out. A cache serves the benchmark and the records per task of its
+    first fold only.
     """
 
     fits: dict[tuple, Discretizer] = field(default_factory=dict)
@@ -383,7 +383,7 @@ def build_fold_artifacts(
         raise ValidationError(f"train ids must be distinct tasks of benchmark '{b.name}': {bad}")
 
     def top(ids: Sequence[str]) -> list[Row]:
-        return [row for tid in ids for row in b.ranked_rows[tid][:TOP_RECORDS]]
+        return [row for tid in ids for row in b.rows[tid][:TOP_RECORDS]]
 
     held_rows, discretizers = top(held), {}
     for p in b.space.parameters:
@@ -398,7 +398,7 @@ def build_fold_artifacts(
         last = next(reversed(cache.pools.values()), None)
         by_id = {}
         for task in b.tasks:
-            rows = b.ranked_rows[task.task_id][:per_task]
+            rows = b.rows[task.task_id][:per_task]
             entry = last[0][task.task_id] if last else None
             if entry is None or any(
                 discretize_solution(row.solution, b.space, discretizers) != exp.discrete_solution
@@ -413,8 +413,7 @@ def build_fold_artifacts(
                     ],
                 )
             by_id[task.task_id] = entry
-        entries = list(by_id.values())
-        cache.pools[signature] = by_id, last[1].with_entries(entries) if last else RetrievalIndex(entries)
+        cache.pools[signature] = by_id, RetrievalIndex(by_id.values())
     return list(map(cache.pools[signature][0].__getitem__, train_ids)), discretizers
 
 

@@ -60,7 +60,7 @@ def load_config(path: str | None) -> AppConfig:
     return cfg
 
 
-def _build_entries(tasks, pool_path, embeddings, direction: str, per_task: int = 3) -> list[PoolEntry]:
+def _build_entries(tasks, pool_path, embeddings, direction: str, per_task: int) -> list[PoolEntry]:
     """Assemble retrieval pool entries: each task with its `per_task` best experiences.
     Every pool row is checked and ranked; only the kept rows are built."""
     ranked = rank_by_task(storage.read_pool_rows(pool_path), direction)
@@ -159,10 +159,7 @@ def cmd_suggest(
 ) -> list[dict]:
     """Suggest configurations for the task described in task_file; returns JSON rows."""
     space, tasks, pool_path, discretizers, embeddings = _load_pool_dir(pool_dir)
-    try:
-        task = storage.task_from_dict(storage.read_json(task_file))
-    except (AttributeError, KeyError, TypeError) as exc:
-        raise ConfigError(f"{task_file}: malformed task ({exc!r})") from exc
+    task = storage.load_json(task_file, storage.task_from_dict, "task")
     backend = backend_from_config(cfg.backend)
     entries = _build_entries(tasks, pool_path, embeddings, cfg.direction, cfg.suggestion.demos_per_task)
     knowledge = storage.load_knowledge(knowledge_path) if knowledge_path else []

@@ -43,6 +43,15 @@ def check_int(name: str, value, least: int | None = None) -> int:
     return value
 
 
+def check_number(name: str, value) -> float:
+    """`value` as a float if it is an int or a float (a bool is not); a ValidationError otherwise."""
+    if type(value) is float:  # most values; it skips the slower isinstance tests on per-record paths
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{name} {value!r} is not a number")
+    return float(value)
+
+
 def check_strings(name: str, value) -> tuple[str, ...]:
     """`value` as a tuple if it is a list or tuple of strings; a ValidationError otherwise
     (a lone string would otherwise split into characters)."""
@@ -70,10 +79,12 @@ class ParameterDef:
     def __post_init__(self):
         if not self.name:
             raise ValidationError("parameter name must be non-empty")
+        if not isinstance(self.log_scale, bool):
+            raise ValidationError(f"parameter '{self.name}': log_scale must be true or false")
         if self.kind == "numeric":
             if self.numeric_range is None:
                 raise ValidationError(f"numeric parameter '{self.name}' needs a numeric_range")
-            lo, hi = (float(self.numeric_range[0]), float(self.numeric_range[1]))
+            lo, hi = (check_number(f"parameter '{self.name}': bound", b) for b in self.numeric_range)
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValidationError(f"parameter '{self.name}': range must satisfy lo < hi")
             if self.log_scale and lo <= 0:
@@ -165,7 +176,7 @@ class Task:
         if not self.description:
             raise ValidationError(f"task '{self.task_id}': description must be non-empty")
         if self.meta_features is not None:
-            features = tuple(float(x) for x in self.meta_features)
+            features = tuple(check_number(f"task '{self.task_id}': feature", x) for x in self.meta_features)
             if not all(map(math.isfinite, features)):
                 raise ValidationError(f"task '{self.task_id}': meta-features must be finite")
             object.__setattr__(self, "meta_features", features)
@@ -189,9 +200,7 @@ class Solution:
                 raise ValidationError(f"solution is missing a value for parameter '{p.name}'")
             v = values[p.name]
             if p.kind == "numeric":
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    raise ValidationError(f"parameter '{p.name}': value {v!r} is not a number")
-                x = float(v)
+                x = check_number(f"parameter '{p.name}': value", v)
                 lo, hi = p.numeric_range
                 if not math.isfinite(x):
                     raise ValidationError(f"parameter '{p.name}': value must be finite")
@@ -276,7 +285,11 @@ class Discretizer:
     fitted_in_log: bool = False
 
     def __post_init__(self):
-        splits = tuple(float(s) for s in self.split_points)
+        splits = tuple(check_number(f"parameter '{self.parameter}': split", s) for s in self.split_points)
+        if not isinstance(self.fitted_in_log, bool):
+            raise ValidationError(f"parameter '{self.parameter}': fitted_in_log must be true or false")
+        for x in self.representatives.values():
+            check_number(f"parameter '{self.parameter}': representative", x)
         if any(b <= a for a, b in zip(splits, splits[1:])):
             raise ValidationError(f"parameter '{self.parameter}': split points must be strictly increasing")
         if len(splits) + 1 > len(self.level_labels):

@@ -22,9 +22,9 @@ from typing import Callable, Sequence
 
 import requests
 
-from .core import check_int
+from .core import check_int, check_number
 from .errors import ConfigError, GatewayError, ValidationError
-from .retrieval import BOW_DIM, EmbeddingVector, hashed_bow_embedding
+from .retrieval import EmbeddingVector, hashed_bow_embedding
 
 API_KEY_ENV = "EXPCOPILOT_API_KEY"
 
@@ -125,9 +125,8 @@ class NearestNeighborPolicy:
 class ScriptedBackend:
     """Deterministic backend: completions from a policy, embeddings from hashed BoW."""
 
-    def __init__(self, policy: Callable[[str, float], str] | None = None, embed_dim: int = BOW_DIM):
+    def __init__(self, policy: Callable[[str, float], str] | None = None):
         self.policy = policy if policy is not None else NearestNeighborPolicy()
-        self.embed_dim = embed_dim
         self.completion_calls = 0
         self.embed_calls = 0
         self._lock = threading.Lock()
@@ -142,7 +141,7 @@ class ScriptedBackend:
             raise GatewayError("cannot embed empty text")
         with self._lock:
             self.embed_calls += 1
-        return hashed_bow_embedding(text, self.embed_dim)
+        return hashed_bow_embedding(text)
 
 
 class ReplayBackend:
@@ -301,8 +300,7 @@ def embed_batch(backend, texts: Sequence[str]) -> list[EmbeddingVector]:
 
 
 # Every kind's keys: `suggest --backend KIND` swaps the kind and keeps the others' keys.
-BACKEND_KEYS = {"kind", "default_completion", "embed_dim", "cassette", "endpoint", "model",
-                "embed_model", "timeout", "max_attempts", "journal"}
+BACKEND_KEYS = {"kind", "cassette", "endpoint", "model", "embed_model", "timeout", "max_attempts", "journal"}
 
 
 def backend_from_config(cfg: dict) -> ScriptedBackend | ReplayBackend | HttpBackend:
@@ -313,27 +311,17 @@ def backend_from_config(cfg: dict) -> ScriptedBackend | ReplayBackend | HttpBack
             raise ConfigError(f"backend {key} must be positive, got {cfg.get(key)!r}")
         return value
 
-    def integer(key: str, default: int) -> int:
+    def number(key: str, default, check):
         try:
-            return positive(key, check_int(f"backend {key}", cfg.get(key, default)))
+            return positive(key, check(f"backend {key}", cfg.get(key, default)))
         except ValidationError as exc:
             raise ConfigError(str(exc)) from exc
-
-    def timeout() -> float:
-        value = cfg.get("timeout", 30.0)
-        try:
-            if isinstance(value, bool):
-                raise TypeError("a bool is not a number")
-            return positive("timeout", float(value))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"backend timeout must be a number, got {value!r}") from exc
 
     if unknown := sorted(set(cfg) - BACKEND_KEYS):
         raise ConfigError(f"unknown backend key(s) {unknown}")
     kind = cfg.get("kind")
     if kind == "scripted":
-        policy = NearestNeighborPolicy(default_completion=cfg.get("default_completion"))
-        return ScriptedBackend(policy=policy, embed_dim=integer("embed_dim", BOW_DIM))
+        return ScriptedBackend()
     if kind == "replay":
         if "cassette" not in cfg:
             raise ConfigError("replay backend requires a 'cassette' path")
@@ -346,8 +334,8 @@ def backend_from_config(cfg: dict) -> ScriptedBackend | ReplayBackend | HttpBack
             endpoint=cfg["endpoint"],
             model=cfg["model"],
             embed_model=cfg["embed_model"],
-            timeout=timeout(),
-            max_attempts=integer("max_attempts", 3),
+            timeout=number("timeout", 30.0, check_number),
+            max_attempts=number("max_attempts", 3, check_int),
             journal_path=cfg.get("journal"),
         )
     raise ConfigError(f"unknown backend kind: {kind!r}")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import math
 import re
@@ -127,20 +126,6 @@ class RetrievalIndex:
             matrix = np.concatenate([self.entries[i].embedding.array for i in rows]).reshape(len(rows), -1)
             self._shapes[shape] = np.array(rows, dtype=np.intp), matrix, norms, scorable
 
-    def with_entries(self, pool: Sequence[PoolEntry]) -> RetrievalIndex:
-        """An index over `pool`, whose entries hold this index's task ids and embeddings in
-        order; it shares this index's arrays instead of stacking them again."""
-        pool = tuple(pool)
-        if len(pool) != len(self.entries) or any(
-            a.task.task_id != b.task.task_id or a.embedding is not b.embedding
-            for a, b in zip(pool, self.entries)
-        ):
-            raise ValidationError("with_entries needs the same task ids and embeddings in the same order")
-        index = copy.copy(self)
-        index.__dict__.pop("shortest_block", None)
-        index.entries = pool
-        return index
-
     @cached_property
     def shortest_block(self) -> int:
         """Length of the shortest demonstration block; 0 for an empty pool."""
@@ -200,18 +185,18 @@ def retrieve_knowledge(space_id: str, knowledge_pool: Sequence[KnowledgeItem]) -
     return matches
 
 
-def hashed_bow_embedding(text: str, dim: int = BOW_DIM) -> EmbeddingVector:
+def hashed_bow_embedding(text: str) -> EmbeddingVector:
     """Deterministic feature-hashed bag-of-words embedding, L2-normalized.
 
     Stands in for a live embedding model so retrieval is meaningful offline.
     """
     if not text:
         raise ValidationError("cannot embed empty text")
-    counts = np.zeros(dim)
+    counts = np.zeros(BOW_DIM)
     for token in _TOKEN.findall(text.lower()):
         digest = hashlib.sha256(token.encode("utf-8")).digest()
-        counts[int.from_bytes(digest[:8], "big") % dim] += 1.0
+        counts[int.from_bytes(digest[:8], "big") % BOW_DIM] += 1.0
     norm = float(np.linalg.norm(counts))
     if norm == 0.0:
         raise ValidationError("text has no embeddable tokens")
-    return EmbeddingVector(values=tuple(counts / norm), model_tag=f"hashed-bow-{dim}")
+    return EmbeddingVector(values=tuple(counts / norm), model_tag=f"hashed-bow-{BOW_DIM}")

@@ -18,6 +18,7 @@ from .core import (
     ParameterDef,
     SolutionSpace,
     Task,
+    check_number,
     solution_reader,
 )
 from .errors import ValidationError
@@ -95,7 +96,7 @@ def parameter_from_dict(d: Mapping) -> ParameterDef:
         name=d["name"],
         kind=d["kind"],
         numeric_range=tuple(d["numeric_range"]) if d.get("numeric_range") else None,
-        log_scale=bool(d.get("log_scale", False)),
+        log_scale=d.get("log_scale", False),
         choices=tuple(d["choices"]) if d.get("choices") else None,
     )
 
@@ -130,11 +131,17 @@ def space_to_dict(space: SolutionSpace) -> dict:
     return d
 
 
-def load_space(path: str | Path) -> SolutionSpace:
+def load_json(path: str | Path, parse, what: str):
+    """`parse` of a JSON file's value; a malformed value raises ValidationError naming `path`."""
+    value = read_json(path)
     try:
-        return space_from_dict(read_json(path))
-    except (AttributeError, KeyError, TypeError) as exc:
-        raise ValidationError(f"{path}: malformed space ({exc!r})") from exc
+        return parse(value)
+    except (AttributeError, KeyError, TypeError, ValueError, ValidationError) as exc:
+        raise ValidationError(f"{path}: malformed {what} ({exc!r})") from exc
+
+
+def load_space(path: str | Path) -> SolutionSpace:
+    return load_json(path, space_from_dict, "space")
 
 
 def save_space(space: SolutionSpace, path: str | Path) -> None:
@@ -182,7 +189,8 @@ def load_history(
         task = tasks_by_id.get(d["task_id"])
         if task is None:
             raise ValidationError(f"unknown task_id {d['task_id']!r}")
-        return ExperienceRecord(task=task, solution=read_solution(d["values"])[0], metric=float(d["metric"]))
+        metric = check_number("metric", d["metric"])
+        return ExperienceRecord(task=task, solution=read_solution(d["values"])[0], metric=metric)
     return [record for path in paths for record in _load_records(path, parse)]
 
 
@@ -202,7 +210,7 @@ def discretizer_from_dict(d: Mapping) -> Discretizer:
         split_points=tuple(d["split_points"]),
         level_labels=tuple(d["level_labels"]),
         representatives=dict(d["representatives"]),
-        fitted_in_log=bool(d["fitted_in_log"]),
+        fitted_in_log=d["fitted_in_log"],
     )
 
 
@@ -212,10 +220,7 @@ def save_discretizers(discretizers: Mapping[str, Discretizer], path: str | Path)
 
 
 def load_discretizers(path: str | Path) -> dict[str, Discretizer]:
-    try:
-        return {name: discretizer_from_dict(d) for name, d in read_json(path).items()}
-    except (AttributeError, KeyError, TypeError) as exc:
-        raise ValidationError(f"{path}: malformed discretizers ({exc!r})") from exc
+    return load_json(path, lambda raw: {k: discretizer_from_dict(v) for k, v in raw.items()}, "discretizers")
 
 
 def experience_to_dict(exp: CanonicalExperience) -> dict:
@@ -251,7 +256,7 @@ def read_pool_rows(path: str | Path) -> list[tuple[str, float, dict]]:
             raise KeyError(f"a pool record needs the fields {sorted(fields)}")
         if not (isinstance(d["task_id"], str) and isinstance(d["discrete_solution"], dict)):
             raise TypeError("task_id must be a string and discrete_solution an object")
-        metric = float(d["metric"])
+        metric = check_number("metric", d["metric"])
         if not math.isfinite(metric):
             raise ValueError(f"metric must be finite, got {metric!r}")
         return d["task_id"], metric, d
@@ -287,7 +292,7 @@ def knowledge_from_dict(d: Mapping) -> KnowledgeItem:
     return KnowledgeItem(
         space_id=d["space_id"],
         text=d["text"],
-        validation_score=float(d["validation_score"]),
+        validation_score=check_number("validation_score", d["validation_score"]),
         provenance=dict(d.get("provenance", {})),
     )
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Collection, Mapping, Sequence
 
-from .core import Discretizer, Solution, SolutionSpace, Task, check_int, check_strings, discretize_solution
+from .core import (
+    Discretizer, Solution, SolutionSpace, Task, check_int, check_number, check_strings, discretize_solution,
+)
 from .errors import ParseError, ValidationError
 from .gateway import CONFIG_LINE, CompletionRequest, estimate_tokens, max_prompt_chars
 from .retrieval import (
@@ -40,9 +42,8 @@ class SuggestionConfig:
     def __post_init__(self):
         for name, least in (("n_suggestions", 1), ("demos_per_task", 1), ("token_budget", 256), ("max_tokens", 1)):
             check_int(name, getattr(self, name), least)
-        t = self.temperature
-        if isinstance(t, bool) or not isinstance(t, (int, float)) or not (0.0 <= t <= 1.0):
-            raise ValidationError(f"temperature must be a number within [0, 1], got {self.temperature!r}")
+        if not 0.0 <= check_number("temperature", self.temperature) <= 1.0:
+            raise ValidationError(f"temperature must be within [0, 1], got {self.temperature!r}")
         if self.k_tasks != FILL_BUDGET and (type(self.k_tasks) is not int or self.k_tasks < 1):
             raise ValidationError(f"k_tasks must be a positive integer or '{FILL_BUDGET}'")
         if not isinstance(self.task_kind, str):

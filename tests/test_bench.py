@@ -121,9 +121,10 @@ class TestLoadBenchmark:
         b = load_benchmark(write_bundle(tmp_path / "b", MINI_SPACE, [mini_task(1), mini_task(2)], rows))
         assert set(b.table["mini-1"]) == {"x=-0|mode=fast", "x=0.5|mode=fast"}
         assert set(b.table["mini-2"]) == {"x=0|mode=fast", "x=0.5|mode=fast"}
-        signs = [math.copysign(1.0, b.rows[tid][0].solution.values["x"]) for tid in ("mini-1", "mini-2")]
+        # Rows are kept best first: the 0.6 row is [0], the signed zero [1].
+        signs = [math.copysign(1.0, b.rows[tid][1].solution.values["x"]) for tid in ("mini-1", "mini-2")]
         assert signs == [-1.0, 1.0]
-        assert b.rows["mini-1"][1].solution is b.rows["mini-2"][1].solution
+        assert b.rows["mini-1"][0].solution is b.rows["mini-2"][0].solution
 
     @pytest.mark.parametrize(
         "bad, error",
@@ -141,6 +142,13 @@ class TestLoadBenchmark:
     @pytest.mark.parametrize("x", ["0.5", True, " 1e-1 "])
     def test_numeric_value_that_is_not_a_json_number_names_its_line(self, tmp_path, x):
         rows = [mini_row("mini-1", 0.25, "fast", 0.4), mini_row("mini-1", x, "fast", 0.5)]
+        root = write_bundle(tmp_path / "b", MINI_SPACE, [mini_task(1)], rows)
+        with pytest.raises(BenchmarkError, match="table.jsonl:2: .*is not a number"):
+            load_benchmark(root)
+
+    @pytest.mark.parametrize("metric", ["0.5", True])
+    def test_metric_that_is_not_a_json_number_names_its_line(self, tmp_path, metric):
+        rows = [mini_row("mini-1", 0.25, "fast", 0.4), mini_row("mini-1", 0.75, "fast", metric)]
         root = write_bundle(tmp_path / "b", MINI_SPACE, [mini_task(1)], rows)
         with pytest.raises(BenchmarkError, match="table.jsonl:2: .*is not a number"):
             load_benchmark(root)
@@ -166,7 +174,9 @@ class TestLoadBenchmark:
         with pytest.raises(BenchmarkError, match="direction"):
             load_benchmark(root)
 
-    @pytest.mark.parametrize("bounds", [{"mini-1": [0.0]}, {"mini-1": "ab"}, [0.0, 1.0]])
+    @pytest.mark.parametrize("bounds", [
+        {"mini-1": [0.0]}, {"mini-1": "ab"}, [0.0, 1.0], {"mini-1": ["0", 1.0]}, {"mini-1": [0.0, 1.0, 2.0]},
+    ])
     def test_malformed_norm_bounds_rejected(self, tmp_path, bounds):
         root = valid_bundle(tmp_path)
         (root / "meta.json").write_text(json.dumps({"direction": "higher", "norm_bounds": bounds}))
@@ -547,7 +557,7 @@ class TestBaselineNearestTask:
 def reference_fold_artifacts(b, train_ids, backend):
     """The per-fold rebuild the pool cache replaced, kept as the reference:
     refit the discretizers, then canonicalize and embed every training task."""
-    top = {tid: b.ranked_rows[tid][:TOP_RECORDS] for tid in train_ids}
+    top = {tid: b.rows[tid][:TOP_RECORDS] for tid in train_ids}
     discretizers = {
         p.name: fit_discretizer([row.solution.values[p.name] for rows in top.values() for row in rows], p)
         for p in b.space.parameters
@@ -611,7 +621,7 @@ def continuous_benchmark(task_rows):
 def fitting_multisets(b, train_ids):
     """(parameter, fitting multiset) of each numeric parameter in one fold, the
     multiset as sorted `float.hex` strings, which tell -0.0 from 0.0."""
-    top = [row for tid in train_ids for row in b.ranked_rows[tid][:TOP_RECORDS]]
+    top = [row for tid in train_ids for row in b.rows[tid][:TOP_RECORDS]]
     return {
         (p.name, tuple(sorted(float.hex(row.solution.values[p.name]) for row in top)))
         for p in b.space.parameters

@@ -20,6 +20,13 @@ from expcopilot.retrieval import EmbeddingVector, PoolEntry, hashed_bow_embeddin
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def _synth_space(**changes) -> str:
+    """The synthetic space.json text with its first parameter's fields changed."""
+    space = json.loads(json.dumps(synth.SPACE))
+    space["parameters"][0].update(changes)
+    return json.dumps(space)
+
+
 @pytest.fixture
 def runner():
     return CliRunner()
@@ -479,6 +486,9 @@ class TestSuggest:
             ("pool.jsonl", "[1, 2]"),
             ("pool.jsonl", '{"task_id": "synth-01", "space_id": "synth-gbt", "solution_text": "x", '
                            '"discrete_solution": {}, "metric": "abc"}'),
+            # A metric is a JSON number; "0.5" used to load as 0.5.
+            ("pool.jsonl", '{"task_id": "synth-01", "space_id": "synth-gbt", "solution_text": "x", '
+                           '"discrete_solution": {}, "metric": "0.5"}'),
             # The worst row of its task: malformed rows fail even when they would not be kept.
             ("pool.jsonl", '{"task_id": "synth-01", "space_id": "synth-gbt", "solution_text": "x", '
                            '"discrete_solution": 5, "metric": -1e9}'),
@@ -529,6 +539,39 @@ class TestSuggest:
         )
         assert stdout == (GOLDEN / f"{name}.jsonl").read_bytes()
         assert prompt == (GOLDEN / f"{name}_prompt.txt").read_bytes()
+
+    def test_knowledge_n_and_budget(self, runner, ingest_inputs, synth_dir, new_task_file, tmp_path):
+        elicit_on_synth_pool(runner, ingest_inputs, synth_dir, tmp_path)
+        knowledge = tmp_path / "knowledge.jsonl"
+        (item,) = storage.load_knowledge(knowledge)
+        args = ["suggest", "--task-file", str(new_task_file), "--pool", str(tmp_path / "pool"),
+                "--knowledge", str(knowledge), "--n", "2", "--show-prompt"]
+        prompts = []
+        for extra in ([], ["--budget", "400"]):
+            result = runner.invoke(main, args + extra)
+            assert result.exit_code == 0, result.output
+            assert len(result.stdout.splitlines()) == 2
+            guidelines = result.stderr.split("\n\nGuidelines:\n", 1)[1]
+            assert item.text in guidelines.split("\n\n", 1)[0]
+            prompts.append(result.stderr)
+        full, budgeted = (prompt.count("\nDataset: ") for prompt in prompts)
+        assert budgeted < full
+
+    def test_level_lexicon_survives_ingest_and_shows_in_the_prompt(
+        self, runner, ingest_inputs, new_task_file, tmp_path
+    ):
+        history, space, tasks = ingest_inputs
+        lexicon = ["tiny", "small", "moderate", "large", "huge"]
+        space.write_text(json.dumps({**synth.SPACE, "level_lexicon": lexicon}))
+        pool = run_ingest(runner, ingest_inputs, tmp_path / "pool")
+        assert json.loads((pool / "space.json").read_text())["level_lexicon"] == lexicon
+        result = runner.invoke(
+            main, ["suggest", "--task-file", str(new_task_file), "--pool", str(pool), "--show-prompt"]
+        )
+        assert result.exit_code == 0, result.output
+        assert "Configuration 1: depth is tiny. shrinkage is tiny. booster is tree." in result.stderr
+        assert "very low" not in result.stderr
+        assert len(result.stdout.splitlines()) == 3
 
 
 def suggest_on_synth_pool(runner, ingest_inputs, task_file, tmp_path, direction, demos_per_task):
@@ -711,6 +754,13 @@ class TestEval:
             ("twins.json", '{"synth-01": ["synth-02"]}'),
             ("space.json", "{not json"),
             ("space.json", None),
+            # Numbers and booleans are checked, not cast: bool("false") is True.
+            pytest.param("space.json", _synth_space(log_scale="false"), id="log_scale-string"),
+            pytest.param("space.json", _synth_space(numeric_range=["0.1", "1"]), id="range-strings"),
+            pytest.param("tasks.jsonl", json.dumps({
+                "task_id": "synth-01", "space_id": "synth-gbt", "description": "d",
+                "meta_features": ["1.5", True],
+            }), id="meta_features-not-numbers"),
         ],
     )
     def test_malformed_bundle_exits_2(self, runner, synth_dir, tmp_path, file_name, text):
@@ -733,7 +783,7 @@ class TestEval:
         )
         assert result.exit_code == 2, result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
-        assert "error:" in result.output
+        assert "error:" in result.output and file_name in result.output
 
     @pytest.mark.parametrize(
         "config, seeds",
@@ -775,7 +825,8 @@ class TestEval:
             ({"elicitation": {"questions": "Q: why?"}}, "0"),
             ({"suggestion": {"temperature": True}}, "0"),
             ({"suggestion": {"task_kind": 5}}, "0"),
-            # Backend numbers are checked, not truncated.
+            # Backend numbers are checked, not truncated. embed_dim is gone, so
+            # its cases exit 2 as a key that no backend kind reads.
             ({"backend": {"kind": "scripted", "embed_dim": 2.7}}, "0"),
             ({"backend": {"kind": "scripted", "embed_dim": True}}, "0"),
             ({"backend": {"kind": "http", "endpoint": "http://localhost:9", "model": "m",
@@ -786,6 +837,11 @@ class TestEval:
                           "embed_model": "e", "timeout": True}}, "0"),
             # A typo would silently run with the default number of attempts.
             ({"backend": {"kind": "scripted", "max_attemps": 3}}, "0"),
+            # A timeout must be a JSON number, not a string that float() reads.
+            ({"backend": {"kind": "http", "endpoint": "http://localhost:9", "model": "m",
+                          "embed_model": "e", "timeout": " 30 "}}, "0"),
+            # default_completion is gone, so it exits 2 as a key that no backend kind reads.
+            ({"backend": {"kind": "scripted", "default_completion": 5}}, "0"),
         ],
     )
     def test_bad_config_or_option_exits_2(self, runner, synth_dir, tmp_path, monkeypatch, config, seeds):

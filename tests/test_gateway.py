@@ -493,13 +493,12 @@ class TestBackendFactory:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("max_attempts", 0), ("timeout", -5), ("timeout", 0), ("timeout", "nan"), ("embed_dim", 0)],
+        [("max_attempts", 0), ("timeout", -5), ("timeout", 0), ("timeout", float("nan"))],
     )
     def test_numbers_must_be_positive(self, monkeypatch, key, value):
         # With a key set, the http backend would otherwise be built.
         monkeypatch.setenv(API_KEY_ENV, "test-key")
-        kind = "scripted" if key == "embed_dim" else "http"
-        cfg = {"kind": kind, "endpoint": "http://localhost:9", "model": "m", "embed_model": "e", key: value}
+        cfg = {"kind": "http", "endpoint": "http://localhost:9", "model": "m", "embed_model": "e", key: value}
         with pytest.raises(ConfigError, match=f"backend {key} must be positive"):
             backend_from_config(cfg)
 

@@ -275,16 +275,6 @@ class TestRetrievalIndex:
         with pytest.raises(ValidationError, match="zero vector"):
             RetrievalIndex(pool).query(vec(0.0, 0.0), 1, exclude={"zero"})
 
-    def test_with_entries_shares_the_vectors(self):
-        pool = [entry("a", (1.0, 0.0)), entry("b", (0.0, 1.0))]
-        index = RetrievalIndex(pool)
-        texts = [CanonicalExperience(e.task.task_id, "s", "cost is low.", {}, 0.0) for e in pool]
-        other = index.with_entries([PoolEntry(e.task, e.embedding, [t]) for e, t in zip(pool, texts)])
-        assert other.shortest_block > index.shortest_block == len("Dataset: desc a")
-        assert [e.experiences for e, _ in other.query(vec(0.0, 1.0), 2)] == [(texts[1],), (texts[0],)]
-        with pytest.raises(ValidationError, match="same task ids"):
-            index.with_entries([entry("a", (1.0, 0.0)), pool[1]])
-
 
 def item(space_id, score, text="guideline"):
     return KnowledgeItem(space_id=space_id, text=text, validation_score=score)

@@ -1,15 +1,18 @@
-"""JSONL reading: the line decoder against per-line `json.loads`; history records."""
+"""JSONL reading: the line decoder against per-line `json.loads`; history records; typed values."""
 
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expcopilot.errors import ValidationError
-from expcopilot.core import ParameterDef, SolutionSpace, Task
-from expcopilot.storage import load_history, read_jsonl
+from expcopilot.core import DEFAULT_LEVELS, ParameterDef, SolutionSpace, Task
+from expcopilot.storage import (
+    load_discretizers, load_history, load_knowledge, load_space, load_tasks, read_jsonl,
+)
 
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
@@ -87,6 +90,16 @@ def test_history_shares_solutions_but_keeps_signed_zeros(tmp_path):
     assert records[2].solution is records[3].solution
 
 
+@pytest.mark.parametrize("metric", ["0.1", True])
+def test_history_metric_that_is_not_a_json_number_names_its_line(tmp_path, metric):
+    path = tmp_path / "h.jsonl"
+    path.write_text("".join(
+        json.dumps({"task_id": "a", "values": {"x": 0.5}, "metric": m}) + "\n" for m in (0.1, metric)
+    ))
+    with pytest.raises(ValidationError, match=f"{path}:2: malformed record.*is not a number"):
+        load_history([path], TASKS, SPACE)
+
+
 def test_history_bad_row_after_a_good_lookalike_names_its_line(tmp_path):
     path = tmp_path / "h.jsonl"
     rows = [{"x": 0.5}, {"x": 0.5}, {"x": 0.5, "y": 0.5}]
@@ -105,3 +118,45 @@ def test_history_numeric_value_that_is_not_a_json_number_names_its_line(tmp_path
     ))
     with pytest.raises(ValidationError, match=f"{path}:2: malformed record.*is not a number"):
         load_history([path], TASKS, SPACE)
+
+
+_PARAMETER = {"name": "x", "kind": "numeric", "numeric_range": [0.1, 1.0], "log_scale": False}
+_DISCRETIZER = {"parameter": "x", "split_points": [0.5], "level_labels": list(DEFAULT_LEVELS),
+                "representatives": {"low": 0.3, "high": 1}, "fitted_in_log": False}
+_TASK = {"task_id": "a", "space_id": "s", "description": "task a", "meta_features": [1.5, 2]}
+
+
+def _space(**changes):
+    return {"space_id": "s", "description": "a space.", "parameters": [{**_PARAMETER, **changes}]}
+
+
+def test_well_typed_values_load(tmp_path):
+    for name, value in (("space.json", _space()), ("discretizers.json", {"x": _DISCRETIZER}),
+                        ("tasks.jsonl", _TASK)):
+        (tmp_path / name).write_text(json.dumps(value))
+    (parameter,) = load_space(tmp_path / "space.json").parameters
+    assert (parameter.numeric_range, parameter.log_scale) == ((0.1, 1.0), False)
+    assert load_discretizers(tmp_path / "discretizers.json")["x"].split_points == (0.5,)
+    assert load_tasks(tmp_path / "tasks.jsonl")[0].meta_features == (1.5, 2.0)
+
+
+@pytest.mark.parametrize(
+    "name, load, value",
+    [
+        ("space.json", load_space, _space(log_scale="false")),
+        ("space.json", load_space, _space(numeric_range=["0.1", "1"])),
+        ("space.json", load_space, _space(numeric_range=[True, 1.0])),
+        ("discretizers.json", load_discretizers, {"x": {**_DISCRETIZER, "split_points": ["0.5"]}}),
+        ("discretizers.json", load_discretizers, {"x": {**_DISCRETIZER, "fitted_in_log": "no"}}),
+        ("discretizers.json", load_discretizers, {"x": {**_DISCRETIZER, "representatives": {"low": "0.3"}}}),
+        ("tasks.jsonl", load_tasks, {**_TASK, "meta_features": ["1.5", True]}),
+        ("knowledge.jsonl", load_knowledge, {"space_id": "s", "text": "t", "validation_score": "90"}),
+    ],
+)
+def test_numbers_and_booleans_are_checked_not_cast(tmp_path, name, load, value):
+    # Each value used to load cast ("false" as True, "0.5" as 0.5, true as 1.0),
+    # or, as a representative, to fail a later comparison with a TypeError.
+    path = tmp_path / name
+    path.write_text(json.dumps(value))
+    with pytest.raises(ValidationError, match=re.escape(str(path))):
+        load(path)
