@@ -1,98 +1,10 @@
-"""Experience-driven ML configuration suggestions via LLM prompting."""
+"""Experience-driven ML configuration suggestions via LLM prompting.
 
-from .core import (
-    CanonicalExperience,
-    Discretizer,
-    ExperienceRecord,
-    ParameterDef,
-    Solution,
-    SolutionSpace,
-    Task,
-    canonicalize,
-    fit_discretizer,
-    solution_key,
-    verbalize_solution,
-)
-from .elicitation import ElicitationConfig, build_elicitation_prompt, elicit_knowledge, split_validation
-from .errors import (
-    BenchmarkError,
-    ConfigError,
-    ElicitationError,
-    ExpCopilotError,
-    GatewayError,
-    ParseError,
-    ValidationError,
-)
-from .gateway import (
-    CompletionRequest,
-    HttpBackend,
-    NearestNeighborPolicy,
-    ReplayBackend,
-    ScriptedBackend,
-    estimate_tokens,
-)
-from .retrieval import (
-    EmbeddingVector,
-    KnowledgeItem,
-    PoolEntry,
-    RetrievalIndex,
-    cosine_similarity,
-    hashed_bow_embedding,
-    retrieve_experience,
-    retrieve_knowledge,
-)
-from .suggestion import (
-    SuggestionConfig,
-    SuggestionSet,
-    build_suggestion_prompt,
-    concretize,
-    parse_solutions,
-    retrieve_demos,
-    suggest,
-)
+The package root holds the names of the README's library example and of the
+benchmark harness; every other name is imported from its module."""
 
-__all__ = [
-    "BenchmarkError",
-    "CanonicalExperience",
-    "CompletionRequest",
-    "ConfigError",
-    "Discretizer",
-    "ElicitationConfig",
-    "ElicitationError",
-    "EmbeddingVector",
-    "ExpCopilotError",
-    "ExperienceRecord",
-    "GatewayError",
-    "HttpBackend",
-    "KnowledgeItem",
-    "NearestNeighborPolicy",
-    "ParameterDef",
-    "ParseError",
-    "PoolEntry",
-    "ReplayBackend",
-    "RetrievalIndex",
-    "ScriptedBackend",
-    "Solution",
-    "SolutionSpace",
-    "SuggestionConfig",
-    "SuggestionSet",
-    "Task",
-    "ValidationError",
-    "build_elicitation_prompt",
-    "build_suggestion_prompt",
-    "canonicalize",
-    "concretize",
-    "cosine_similarity",
-    "elicit_knowledge",
-    "estimate_tokens",
-    "fit_discretizer",
-    "hashed_bow_embedding",
-    "parse_solutions",
-    "retrieve_demos",
-    "retrieve_experience",
-    "retrieve_knowledge",
-    "solution_key",
-    "split_validation",
-    "suggest",
-    "verbalize_solution",
-]
+from .elicitation import ElicitationConfig
+from .gateway import NearestNeighborPolicy, ScriptedBackend
+from .suggestion import SuggestionConfig, suggest
+
+__all__ = ["ElicitationConfig", "NearestNeighborPolicy", "ScriptedBackend", "SuggestionConfig", "suggest"]

@@ -37,7 +37,7 @@ from .core import (
 from .elicitation import ElicitationConfig, elicit_knowledge
 from .errors import BenchmarkError, ConfigError, ExpCopilotError, ValidationError
 from .retrieval import EmbeddingVector, PoolEntry, RetrievalIndex
-from .storage import load_space, load_tasks, read_jsonl
+from .storage import load_space, load_tasks, read_json, read_jsonl
 from .suggestion import SuggestionConfig, retrieve_demos, suggest
 
 METHODS = ("random", "constant", "nearest", "copilot")
@@ -104,9 +104,10 @@ def load_benchmark(path: str | Path) -> Benchmark:
     """
     root = Path(path)
     try:
-        meta = json.loads((root / "meta.json").read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise BenchmarkError(f"cannot read meta.json: {exc}") from exc
+        meta = read_json(root / "meta.json")
+        raw_twins = read_json(root / "twins.json") if (root / "twins.json").exists() else {}
+    except ValidationError as exc:
+        raise BenchmarkError(str(exc)) from exc
     if not isinstance(meta, dict) or "direction" not in meta:
         raise BenchmarkError("meta.json must be a JSON object with a 'direction'")
     direction = check_direction(meta["direction"])
@@ -122,7 +123,7 @@ def load_benchmark(path: str | Path) -> Benchmark:
     rows: dict[str, list[Row]] = {t.task_id: [] for t in tasks}
     table: dict[str, dict[str, float]] = {t.task_id: {} for t in tasks}
     read_solution = solution_reader(space)
-    for lineno, d in enumerate(read_jsonl(root / "table.jsonl"), start=1):
+    for lineno, d in read_jsonl(root / "table.jsonl"):
         try:
             task_id = d["task_id"]
             if task_id not in rows:
@@ -157,28 +158,20 @@ def load_benchmark(path: str | Path) -> Benchmark:
             raise BenchmarkError(f"task '{t.task_id}': degenerate normalization bounds")
         bounds[t.task_id] = (lo, hi)
 
-    twins: dict[str, tuple[str, ...]] = {}
-    twins_path = root / "twins.json"
-    if twins_path.exists():
-        try:
-            raw = json.loads(twins_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            raise BenchmarkError(f"cannot read twins.json: {exc}") from exc
-        if not isinstance(raw, dict) or not all(
-            isinstance(ids, list) and all(isinstance(i, str) for i in ids) for ids in raw.values()
-        ):
-            raise BenchmarkError("twins.json must map task ids to lists of task ids")
-        for tid, ids in raw.items():
-            unknown = [i for i in (tid, *ids) if i not in by_id]
-            if unknown:
-                raise BenchmarkError(f"twins.json names unknown task(s) {unknown}")
-            for twin in ids:
-                if tid not in raw.get(twin, ()):
-                    raise BenchmarkError(
-                        f"twins.json lists '{twin}' as a twin of '{tid}' but not "
-                        f"'{tid}' as a twin of '{twin}'"
-                    )
-        twins = {tid: tuple(ids) for tid, ids in raw.items()}
+    if not isinstance(raw_twins, dict) or not all(
+        isinstance(ids, list) and all(isinstance(i, str) for i in ids) for ids in raw_twins.values()
+    ):
+        raise BenchmarkError("twins.json must map task ids to lists of task ids")
+    for tid, ids in raw_twins.items():
+        unknown = [i for i in (tid, *ids) if i not in by_id]
+        if unknown:
+            raise BenchmarkError(f"twins.json names unknown task(s) {unknown}")
+        for twin in ids:
+            if tid not in raw_twins.get(twin, ()):
+                raise BenchmarkError(
+                    f"twins.json lists '{twin}' as a twin of '{tid}' but not "
+                    f"'{tid}' as a twin of '{twin}'"
+                )
 
     return Benchmark(
         name=meta.get("name", root.name),
@@ -188,7 +181,7 @@ def load_benchmark(path: str | Path) -> Benchmark:
         rows=rows,
         table=table,
         norm_bounds=bounds,
-        twins=twins,
+        twins={tid: tuple(ids) for tid, ids in raw_twins.items()},
         task_kind=meta.get("task_kind", "classification dataset"),
     )
 

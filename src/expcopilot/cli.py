@@ -7,7 +7,6 @@ backend. Secrets come from the environment only.
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -17,7 +16,7 @@ import click
 from . import bench, storage
 from .core import TOP_RECORDS, check_direction, check_int, derive_seed, rank_by_task
 from .elicitation import ElicitationConfig, elicit_knowledge
-from .errors import ConfigError, ExpCopilotError
+from .errors import ConfigError, ExpCopilotError, ValidationError
 from .gateway import backend_from_config, embed_batch, prompt_sha256
 from .retrieval import PoolEntry
 from .suggestion import SuggestionConfig, retrieve_demos, suggest
@@ -37,9 +36,9 @@ def load_config(path: str | None) -> AppConfig:
     raw = {}
     if path:
         try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+            raw = storage.read_json(path)
+        except ValidationError as exc:
+            raise ConfigError(str(exc)) from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"invalid config {path}: expected a JSON object")
     try:

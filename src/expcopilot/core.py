@@ -95,7 +95,7 @@ class ParameterDef:
         elif self.kind == "categorical":
             if not self.choices:
                 raise ValidationError(f"categorical parameter '{self.name}' needs choices")
-            choices = tuple(str(c) for c in self.choices)
+            choices = check_strings(f"parameter '{self.name}': choices", self.choices)
             if len(set(choices)) != len(choices):
                 raise ValidationError(f"parameter '{self.name}': duplicate choices")
             object.__setattr__(self, "choices", choices)
@@ -125,7 +125,7 @@ class SolutionSpace:
             raise ValidationError(f"space '{self.space_id}': duplicate parameter names")
         object.__setattr__(self, "parameters", params)
         if self.level_lexicon is not None:
-            lex = tuple(str(a) for a in self.level_lexicon)
+            lex = check_strings(f"space '{self.space_id}': level lexicon", self.level_lexicon)
             if len(lex) != len(DEFAULT_LEVELS) or len(set(lex)) != len(lex):
                 raise ValidationError(
                     f"space '{self.space_id}': level lexicon must alias all "

@@ -9,7 +9,6 @@ cassette format, so any live run can be replayed later.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 import re
@@ -24,7 +23,8 @@ import requests
 
 from .core import check_int, check_number
 from .errors import ConfigError, GatewayError, ValidationError
-from .retrieval import EmbeddingVector, hashed_bow_embedding
+from .retrieval import EmbeddingVector, hashed_bow_embedding, json_embedding
+from .storage import dumps, load_records
 
 API_KEY_ENV = "EXPCOPILOT_API_KEY"
 
@@ -80,9 +80,6 @@ class NearestNeighborPolicy:
     a fixed knowledge template parameterized by the prompt hash.
     """
 
-    def __init__(self, default_completion: str | None = None):
-        self.default_completion = default_completion
-
     def __call__(self, prompt: str, temperature: float) -> str:
         if self._is_elicitation(prompt):
             digest = prompt_sha256(prompt)[:12]
@@ -92,7 +89,7 @@ class NearestNeighborPolicy:
             )
         configs = self._first_demo_configs(prompt)
         if not configs:
-            return self.default_completion or ""
+            return ""
         return "\n".join(f"Configuration {i}: {body}" for i, body in enumerate(configs, start=1))
 
     @staticmethod
@@ -155,30 +152,22 @@ class ReplayBackend:
     """
 
     def __init__(self, cassette_path: str | Path):
-        path = Path(cassette_path)
-        if not path.exists():
-            raise ConfigError(f"replay cassette not found: {path}")
+        def parse(entry: dict) -> tuple[tuple[str, str], str | EmbeddingVector]:
+            request, sha, response = entry["request"], entry["prompt_sha256"], entry["response"]
+            kind = request.get("kind", "complete")
+            if kind == "embed":
+                response = json_embedding(response, request.get("model", "replay"))
+            elif not isinstance(response, str):
+                raise TypeError(f"a completion must be a string, got {response!r}")
+            return (kind, sha), response
+
+        try:
+            entries = load_records(cassette_path, parse, "cassette entry")
+        except ValidationError as exc:
+            raise ConfigError(str(exc)) from exc
         self._responses: dict[tuple[str, str], deque] = {}
-        with path.open(encoding="utf-8") as fh:
-            try:
-                lines = list(fh)
-            except UnicodeDecodeError as exc:
-                raise ConfigError(f"{path}: replay cassette is not UTF-8 text ({exc})") from exc
-        for line_no, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-                request, sha, response = entry["request"], entry["prompt_sha256"], entry["response"]
-                kind = request.get("kind", "complete")
-                if kind == "embed":
-                    response = EmbeddingVector(values=tuple(response), model_tag=request.get("model", "replay"))
-                elif not isinstance(response, str):
-                    raise TypeError(f"a completion must be a string, got {response!r}")
-            except (ValueError, KeyError, TypeError, AttributeError, ValidationError) as exc:
-                raise ConfigError(f"{path}:{line_no}: malformed cassette entry ({exc!r})") from exc
-            self._responses.setdefault((kind, sha), deque()).append(response)
+        for key, response in entries:
+            self._responses.setdefault(key, deque()).append(response)
 
     def _next(self, kind: str, sha: str):
         queue = self._responses.get((kind, sha))
@@ -255,8 +244,8 @@ class HttpBackend:
                 rows = sorted(data["data"], key=lambda row: row["index"])
                 if [row["index"] for row in rows] != list(range(len(chunk))):
                     raise ValueError(f"indices {[row['index'] for row in rows]} for {len(chunk)} inputs")
-                raw = [list(row["embedding"]) for row in rows]
-                batch = [EmbeddingVector(values=tuple(values), model_tag=self.embed_model) for values in raw]
+                raw = [row["embedding"] for row in rows]
+                batch = [json_embedding(values, self.embed_model) for values in raw]
             except (KeyError, TypeError, ValueError, ValidationError) as exc:
                 raise GatewayError(f"malformed embedding response: {exc}") from exc
             for text, values in zip(chunk, raw):
@@ -289,7 +278,7 @@ class HttpBackend:
     def _journal(self, sha: str, request: dict, response: object) -> None:
         if self._journal_path is None:
             return
-        line = json.dumps({"prompt_sha256": sha, "request": request, "response": response}, sort_keys=True)
+        line = dumps({"prompt_sha256": sha, "request": request, "response": response})
         with self._journal_lock, self._journal_path.open("a", encoding="utf-8") as fh:
             fh.write(line + "\n")
 

@@ -45,6 +45,14 @@ class EmbeddingVector:
         return float(np.linalg.norm(self.array))
 
 
+def json_embedding(values, model_tag: str) -> EmbeddingVector:
+    """The embedding of a decoded JSON array of numbers, as files, cassettes and HTTP answers
+    carry it; any other value, a string or a bool among them, raises ValidationError."""
+    if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+        raise ValidationError(f"embedding values must be a list of JSON numbers, got {values!r:.80}")
+    return EmbeddingVector(values=values, model_tag=model_tag)
+
+
 @dataclass(frozen=True)
 class KnowledgeItem:
     """Natural-language guidelines elicited for one solution space."""

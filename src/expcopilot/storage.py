@@ -1,7 +1,9 @@
 """File formats: spaces, tasks, history, pools, discretizers, embeddings, knowledge.
 
-All writers emit sorted-key JSON so re-running a command over identical inputs
-reproduces identical bytes.
+Every input file, configs, bundle metadata and replay cassettes included, is read by
+`read_json` or `read_jsonl`, so each kind of bad input is reported one way. All writers
+emit sorted-key JSON so re-running a command over identical inputs reproduces identical
+bytes.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .core import (
     solution_reader,
 )
 from .errors import ValidationError
-from .retrieval import EmbeddingVector, KnowledgeItem
+from .retrieval import EmbeddingVector, KnowledgeItem, json_embedding
 
 
 def dumps(obj) -> str:
@@ -45,10 +47,13 @@ def _open(path: str | Path):
 
 
 def read_json(path: str | Path):
-    """Parse one JSON file; a missing, unreadable or malformed file raises ValidationError."""
+    """Parse one JSON file; a missing, unreadable, non-UTF-8 or malformed file raises
+    ValidationError naming `path`."""
     with _open(path) as fh:
         try:
             return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
         except ValueError as exc:
             raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
 
@@ -56,10 +61,11 @@ def read_json(path: str | Path):
 _decode = json.JSONDecoder().raw_decode
 
 
-def read_jsonl(path: str | Path) -> list[dict]:
-    """The JSON value of each non-blank line, stripped: the values and errors of `json.loads`
-    without its whitespace scans. A malformed line raises ValidationError naming `path:lineno`,
-    and a file that is not UTF-8 one naming `path`."""
+def read_jsonl(path: str | Path) -> list[tuple[int, object]]:
+    """(line number, JSON value) of each non-blank line, stripped: the values and errors of
+    `json.loads` without its whitespace scans. Line numbers count every physical line, blank
+    ones too. A malformed line raises ValidationError naming `path:lineno`, and a file that is
+    not UTF-8 one naming `path`."""
     out = []
     with _open(path) as fh:
         try:
@@ -73,21 +79,21 @@ def read_jsonl(path: str | Path) -> list[dict]:
                         raise json.JSONDecodeError("Extra data", line, end)
                 except json.JSONDecodeError as exc:
                     raise ValidationError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
-                out.append(value)
+                out.append((lineno, value))
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
     return out
 
 
-def _load_records(path: str | Path, parse) -> list:
+def load_records(path: str | Path, parse, what: str = "record") -> list:
     """`parse` of each record of a JSONL file; a malformed record raises ValidationError
-    naming `path:N`, N counting records."""
+    naming `path:lineno` (see `read_jsonl`)."""
     out = []
-    for lineno, d in enumerate(read_jsonl(path), start=1):
+    for lineno, d in read_jsonl(path):
         try:
             out.append(parse(d))
         except (AttributeError, KeyError, TypeError, ValueError, ValidationError) as exc:
-            raise ValidationError(f"{path}:{lineno}: malformed record ({exc!r})") from exc
+            raise ValidationError(f"{path}:{lineno}: malformed {what} ({exc!r})") from exc
     return out
 
 
@@ -97,7 +103,7 @@ def parameter_from_dict(d: Mapping) -> ParameterDef:
         kind=d["kind"],
         numeric_range=tuple(d["numeric_range"]) if d.get("numeric_range") else None,
         log_scale=d.get("log_scale", False),
-        choices=tuple(d["choices"]) if d.get("choices") else None,
+        choices=d.get("choices"),
     )
 
 
@@ -116,7 +122,7 @@ def space_from_dict(d: Mapping) -> SolutionSpace:
         space_id=d["space_id"],
         description=d["description"],
         parameters=tuple(parameter_from_dict(p) for p in d["parameters"]),
-        level_lexicon=tuple(d["level_lexicon"]) if d.get("level_lexicon") else None,
+        level_lexicon=d.get("level_lexicon"),
     )
 
 
@@ -169,7 +175,7 @@ def task_to_dict(task: Task) -> dict:
 
 
 def load_tasks(path: str | Path) -> list[Task]:
-    return _load_records(path, task_from_dict)
+    return load_records(path, task_from_dict)
 
 
 def save_tasks(tasks: Sequence[Task], path: str | Path) -> None:
@@ -191,7 +197,7 @@ def load_history(
             raise ValidationError(f"unknown task_id {d['task_id']!r}")
         metric = check_number("metric", d["metric"])
         return ExperienceRecord(task=task, solution=read_solution(d["values"])[0], metric=metric)
-    return [record for path in paths for record in _load_records(path, parse)]
+    return [record for path in paths for record in load_records(path, parse)]
 
 
 def discretizer_to_dict(d: Discretizer) -> dict:
@@ -260,7 +266,7 @@ def read_pool_rows(path: str | Path) -> list[tuple[str, float, dict]]:
         if not math.isfinite(metric):
             raise ValueError(f"metric must be finite, got {metric!r}")
         return d["task_id"], metric, d
-    return _load_records(path, parse)
+    return load_records(path, parse)
 
 
 def save_embeddings(embeddings: Sequence[tuple[str, EmbeddingVector]], path: str | Path) -> None:
@@ -275,8 +281,8 @@ def save_embeddings(embeddings: Sequence[tuple[str, EmbeddingVector]], path: str
 
 def load_embeddings(path: str | Path) -> dict[str, EmbeddingVector]:
     def parse(d: Mapping) -> tuple[str, EmbeddingVector]:
-        return d["task_id"], EmbeddingVector(values=d["values"], model_tag=d["model_tag"])
-    return dict(_load_records(path, parse))
+        return d["task_id"], json_embedding(d["values"], d["model_tag"])
+    return dict(load_records(path, parse))
 
 
 def knowledge_to_dict(item: KnowledgeItem) -> dict:
@@ -302,4 +308,4 @@ def save_knowledge(items: Sequence[KnowledgeItem], path: str | Path) -> None:
 
 
 def load_knowledge(path: str | Path) -> list[KnowledgeItem]:
-    return _load_records(path, knowledge_from_dict)
+    return load_records(path, knowledge_from_dict)

@@ -139,6 +139,13 @@ class TestLoadBenchmark:
         with pytest.raises(BenchmarkError, match=f"table.jsonl:3: .*{error}"):
             load_benchmark(root)
 
+    def test_bad_row_names_its_physical_line_counting_blank_ones(self, tmp_path):
+        root = write_bundle(tmp_path / "b", MINI_SPACE, [mini_task(1)], [mini_row("mini-1", 0.25, "fast", 0.4)])
+        with (root / "table.jsonl").open("a") as fh:
+            fh.write("\n\n" + json.dumps(mini_row("mini-9", 0.75, "fast", 0.5)) + "\n")
+        with pytest.raises(BenchmarkError, match="table.jsonl:4: unknown task 'mini-9'"):
+            load_benchmark(root)
+
     @pytest.mark.parametrize("x", ["0.5", True, " 1e-1 "])
     def test_numeric_value_that_is_not_a_json_number_names_its_line(self, tmp_path, x):
         rows = [mini_row("mini-1", 0.25, "fast", 0.4), mini_row("mini-1", x, "fast", 0.5)]

@@ -401,7 +401,7 @@ class TestSuggest:
         )
         assert result.exit_code == 2, result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
-        assert f"error: {cassette}: replay cassette is not UTF-8" in result.stderr
+        assert f"error: {cassette}: not UTF-8 text" in result.stderr
 
     def test_stale_embedding_cache_exits_2(self, runner, ingest_inputs, new_task_file, tmp_path):
         # Embeddings from another model cannot be compared with the query's: re-ingest.
@@ -761,6 +761,11 @@ class TestEval:
                 "task_id": "synth-01", "space_id": "synth-gbt", "description": "d",
                 "meta_features": ["1.5", True],
             }), id="meta_features-not-numbers"),
+            # Choices and aliases are JSON strings: [1, 2] used to load as ("1", "2") and a
+            # lone string to split into characters.
+            pytest.param("space.json", _synth_space(kind="categorical", numeric_range=None, choices=[1, 2]),
+                         id="choices-not-strings"),
+            pytest.param("space.json", json.dumps({**synth.SPACE, "level_lexicon": "vwxyz"}), id="lexicon-a-string"),
         ],
     )
     def test_malformed_bundle_exits_2(self, runner, synth_dir, tmp_path, file_name, text):
@@ -868,7 +873,7 @@ class TestEval:
         ])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
-        assert result.stderr.startswith("error: cannot read config")
+        assert result.stderr.startswith(f"error: {tmp_path / 'config.json'}: not UTF-8 text")
 
 
 class TestErrorExit:

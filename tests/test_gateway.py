@@ -95,8 +95,6 @@ class TestScriptedPolicy:
         prompt = build_suggestion_prompt(
             svm_space, gina_task, [], guideline_items, SuggestionConfig()
         )
-        fallback = "Configuration 1: cost is medium. gamma is medium. kernel is radial."
-        assert NearestNeighborPolicy(default_completion=fallback)(prompt, 0.0) == fallback
         assert NearestNeighborPolicy()(prompt, 0.0) == ""
 
     def test_backend_counts_calls(self):
@@ -166,13 +164,21 @@ class TestReplayBackend:
         with pytest.raises(ConfigError, match=f"{cassette}:3"):
             ReplayBackend(cassette)
 
+    def test_malformed_cassette_entry_names_its_physical_line(self, tmp_path):
+        # Blank lines count: the entry without a request is on line 3.
+        cassette = tmp_path / "cassette.jsonl"
+        good = {"prompt_sha256": prompt_sha256("p"), "request": {"kind": "complete"}, "response": "r"}
+        cassette.write_text(json.dumps(good) + "\n\n" + json.dumps({"prompt_sha256": "x", "response": "r"}) + "\n")
+        with pytest.raises(ConfigError, match=f"{cassette}:3: malformed cassette entry"):
+            ReplayBackend(cassette)
+
     def test_cassette_line_without_request_names_its_position(self, tmp_path):
         cassette = tmp_path / "cassette.jsonl"
         cassette.write_text(json.dumps({"prompt_sha256": prompt_sha256("p"), "response": "r"}) + "\n")
         with pytest.raises(ConfigError, match=f"{cassette}:1"):
             ReplayBackend(cassette)
 
-    @pytest.mark.parametrize("response", [["a"], 5, [None], [], [float("nan")]])
+    @pytest.mark.parametrize("response", [["a"], 5, [None], [], [float("nan")], ["0.5", " 1 ", True], [0.5, True]])
     def test_malformed_embedding_names_its_position(self, tmp_path, response):
         cassette = tmp_path / "cassette.jsonl"
         good = {"prompt_sha256": prompt_sha256("p"), "request": {"kind": "complete"}, "response": "r"}
@@ -330,7 +336,7 @@ class TestHttpBackend:
 
     @pytest.mark.parametrize(
         "embedding, rows",
-        [(["a"], None), ([None], None), ([], None), ([float("nan")], None)]
+        [(["a"], None), ([None], None), ([], None), ([float("nan")], None), (["0.5"], None), ([0.5, True], None)]
         + [(None, name) for name in MANGLED_ROWS],
     )
     def test_malformed_embedding_is_a_gateway_error_and_not_journaled(self, http_server, tmp_path, embedding, rows):

@@ -86,13 +86,15 @@ class TestPoolEntryBlock:
     def test_cached_block_is_the_first_n_configurations(self, n):
         # An entry built from a task's first n records shows every one of them, once cached.
         task = Task(task_id="t", space_id="s", description="desc t")
-        texts = ["cost is low.", "cost is medium.", "cost is high."]
+        texts = [f"{name} is {level}." for name in ("cost", "gamma") for level in ("low", "medium", "high")]
+        texts.append("kernel is radial.")  # 7 texts, so n = 4 and n = 7 build entries of their own
         pool_entry = PoolEntry(
             task, vec(1.0), [CanonicalExperience("t", "s", text, {}, 0.0) for text in texts[:n]]
         )
         lines = ["Dataset: desc t", *(f"Configuration {i}: {t}" for i, t in enumerate(texts, 1))]
         block = pool_entry.block
         assert block == "\n".join(lines[: n + 1])
+        assert block.count("\nConfiguration ") == n
         assert pool_entry.block is block
 
 

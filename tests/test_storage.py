@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from expcopilot.errors import ValidationError
 from expcopilot.core import DEFAULT_LEVELS, ParameterDef, SolutionSpace, Task
 from expcopilot.storage import (
-    load_discretizers, load_history, load_knowledge, load_space, load_tasks, read_jsonl,
+    load_discretizers, load_embeddings, load_history, load_knowledge, load_space, load_tasks, read_jsonl,
 )
 
 _JSON = st.recursive(
@@ -48,7 +48,7 @@ _LINES = st.lists(
 
 def reference_read_jsonl(path):
     with open(path, encoding="utf-8") as fh:
-        return [json.loads(line) for line in (raw.strip() for raw in fh) if line]
+        return [(lineno, json.loads(line)) for lineno, raw in enumerate(fh, 1) if (line := raw.strip())]
 
 
 @given(lines=_LINES)
@@ -151,6 +151,9 @@ def test_well_typed_values_load(tmp_path):
         ("discretizers.json", load_discretizers, {"x": {**_DISCRETIZER, "representatives": {"low": "0.3"}}}),
         ("tasks.jsonl", load_tasks, {**_TASK, "meta_features": ["1.5", True]}),
         ("knowledge.jsonl", load_knowledge, {"space_id": "s", "text": "t", "validation_score": "90"}),
+        ("embeddings.jsonl", load_embeddings, {"task_id": "a", "model_tag": "m", "values": ["0.5", " 1 ", True]}),
+        ("embeddings.jsonl", load_embeddings, {"task_id": "a", "model_tag": "m", "values": [0.5, True]}),
+        ("embeddings.jsonl", load_embeddings, {"task_id": "a", "model_tag": "m", "values": "0.5"}),
     ],
 )
 def test_numbers_and_booleans_are_checked_not_cast(tmp_path, name, load, value):
@@ -160,3 +163,42 @@ def test_numbers_and_booleans_are_checked_not_cast(tmp_path, name, load, value):
     path.write_text(json.dumps(value))
     with pytest.raises(ValidationError, match=re.escape(str(path))):
         load(path)
+
+
+def test_well_typed_embedding_loads(tmp_path):
+    path = tmp_path / "embeddings.jsonl"
+    path.write_text(json.dumps({"task_id": "a", "model_tag": "m", "values": [0.5, 1, -2e-3]}) + "\n")
+    assert load_embeddings(path)["a"].values == (0.5, 1.0, -2e-3)
+
+
+_CATEGORICAL = {"name": "k", "kind": "categorical", "choices": ["a", "b"]}
+
+
+@pytest.mark.parametrize(
+    "space, error",
+    [
+        # Choices used to load cast ("1", "2") and a lone string split into characters.
+        ({"parameters": [{**_CATEGORICAL, "choices": [1, 2]}]}, "choices must be a list of strings"),
+        ({"parameters": [{**_CATEGORICAL, "choices": "abc"}]}, "choices must be a list of strings"),
+        ({"parameters": [_CATEGORICAL], "level_lexicon": "vwxyz"}, "level lexicon must be a list of strings"),
+        ({"parameters": [_CATEGORICAL], "level_lexicon": ["v", "w", "x", "y", 5]},
+         "level lexicon must be a list of strings"),
+    ],
+)
+def test_choices_and_level_lexicon_are_lists_of_strings(tmp_path, space, error):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"space_id": "s", "description": "a space.", **space}))
+    with pytest.raises(ValidationError, match=f"{re.escape(str(path))}: malformed space.*{error}"):
+        load_space(path)
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [('{"task_id": "b"}', "malformed record"), ('{"task_id": ', "invalid JSON")],
+)
+def test_errors_name_the_physical_line_counting_blank_ones(tmp_path, bad, error):
+    # A bad record and a JSON syntax error on line 4, after two blank lines, both name line 4.
+    path = tmp_path / "tasks.jsonl"
+    path.write_text(json.dumps(_TASK) + "\n\n  \n" + bad + "\n")
+    with pytest.raises(ValidationError, match=f"{re.escape(str(path))}:4: {error}"):
+        load_tasks(path)

@@ -403,13 +403,11 @@ class TestSuggest:
         assert result.fallback_count == 0 and result.repair_response is None
 
     def test_empty_pool_with_default_completion(self, svm_space, svm_discretizers, gina_task, guideline_items):
-        from expcopilot.gateway import NearestNeighborPolicy
-
         default = "\n".join(
             f"Configuration {i}: cost is medium. gamma is medium. kernel is radial."
             for i in range(1, 4)
         )
-        backend = ScriptedBackend(policy=NearestNeighborPolicy(default_completion=default))
+        backend = ScriptedBackend(policy=lambda prompt, temperature: default)
         result = suggest(
             gina_task, [], guideline_items, svm_space, svm_discretizers,
             SuggestionConfig(), backend,
