@@ -5,6 +5,5 @@ benchmark harness; every other name is imported from its module."""
 
 from .elicitation import ElicitationConfig
 from .gateway import NearestNeighborPolicy, ScriptedBackend
-from .suggestion import SuggestionConfig, suggest
 
-__all__ = ["ElicitationConfig", "NearestNeighborPolicy", "ScriptedBackend", "SuggestionConfig", "suggest"]
+__all__ = ["ElicitationConfig", "NearestNeighborPolicy", "ScriptedBackend"]

@@ -14,7 +14,7 @@ from pathlib import Path
 import click
 
 from . import bench, storage
-from .core import TOP_RECORDS, check_direction, check_int, derive_seed, rank_by_task
+from .core import TOP_RECORDS, check_direction, check_int, derive_seed, top_by_task
 from .elicitation import ElicitationConfig, elicit_knowledge
 from .errors import ConfigError, ExpCopilotError, ValidationError
 from .gateway import backend_from_config, embed_batch, prompt_sha256
@@ -61,8 +61,8 @@ def load_config(path: str | None) -> AppConfig:
 
 def _build_entries(tasks, pool_path, embeddings, direction: str, per_task: int) -> list[PoolEntry]:
     """Assemble retrieval pool entries: each task with its `per_task` best experiences.
-    Every pool row is checked and ranked; only the kept rows are built."""
-    ranked = rank_by_task(storage.read_pool_rows(pool_path), direction)
+    Every pool row is checked as it is read; only each task's kept rows stay and are built."""
+    ranked = top_by_task(storage.read_pool_rows(pool_path), direction, per_task)
     entries = []
     for task in tasks:
         rows = ranked.get(task.task_id)
@@ -74,7 +74,7 @@ def _build_entries(tasks, pool_path, embeddings, direction: str, per_task: int) 
             PoolEntry(
                 task=task,
                 embedding=embeddings[task.task_id],
-                experiences=tuple(storage.experience_from_dict(row) for row in rows[:per_task]),
+                experiences=tuple(storage.experience_from_dict(row) for row in rows),
             )
         )
     return entries
@@ -89,8 +89,8 @@ def cmd_ingest(cfg: AppConfig, history_paths, space_path, tasks_path, out_dir) -
     if not records:
         raise ConfigError("history is empty: nothing to ingest")
 
-    ranked = rank_by_task(((r.task.task_id, r.metric, r) for r in records), cfg.direction)
-    best = [r.solution.values for rows in ranked.values() for r in rows[:TOP_RECORDS]]
+    ranked = top_by_task(((r.task.task_id, r.metric, r) for r in records), cfg.direction, TOP_RECORDS)
+    best = [r.solution.values for rows in ranked.values() for r in rows]
     from .core import CanonicalExperience, canonicalize, fit_discretizer
 
     discretizers = {

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import math
 import statistics
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -447,12 +447,17 @@ def canonicalize(
     )
 
 
-def rank_by_task(triples: Iterable[tuple[str, float, object]], direction: str) -> dict[str, list]:
-    """Items of (task_id, metric, item) triples grouped by task, best metric first
-    under the direction, stable on ties."""
+def top_by_task(triples: Iterable[tuple[str, float, object]], direction: str, k: int) -> dict[str, list]:
+    """The `k` best items of each task from (task_id, metric, item) triples, best metric first
+    under the direction, stable on ties (-0.0 ties 0.0): the head of a stable sort, kept
+    without holding the rest."""
     sign = -1.0 if check_direction(direction) == "higher" else 1.0
     groups: dict[str, list] = {}
     for index, (task_id, metric, item) in enumerate(triples):
-        groups.setdefault(task_id, []).append((sign * metric, index, item))
-    # Indices are unique, so sorting never compares the items themselves.
-    return {task_id: [item for _, _, item in sorted(group)] for task_id, group in groups.items()}
+        group = groups.setdefault(task_id, [])
+        key = (sign * metric, index)
+        if len(group) < k or key < group[-1][0]:
+            # Indices are unique, so insertion never compares the items themselves.
+            insort(group, (key, item))
+            del group[k:]
+    return {task_id: [item for _, item in group] for task_id, group in groups.items()}

@@ -1,7 +1,8 @@
 """File formats: spaces, tasks, history, pools, discretizers, embeddings, knowledge.
 
 Every input file, configs, bundle metadata and replay cassettes included, is read by
-`read_json` or `read_jsonl`, so each kind of bad input is reported one way. All writers
+`read_json` or `iter_jsonl`, so each kind of bad input is reported one way; pool and
+history records are checked as they stream, other JSONL files are read whole. All writers
 emit sorted-key JSON so re-running a command over identical inputs reproduces identical
 bytes.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     CanonicalExperience,
@@ -27,8 +28,8 @@ from .errors import ValidationError
 from .retrieval import EmbeddingVector, KnowledgeItem, json_embedding
 
 
-def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True)
+# One shared encoder: `json.dumps(obj, sort_keys=True)` without building one per record.
+dumps = json.JSONEncoder(sort_keys=True).encode
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
@@ -61,12 +62,11 @@ def read_json(path: str | Path):
 _decode = json.JSONDecoder().raw_decode
 
 
-def read_jsonl(path: str | Path) -> list[tuple[int, object]]:
-    """(line number, JSON value) of each non-blank line, stripped: the values and errors of
-    `json.loads` without its whitespace scans. Line numbers count every physical line, blank
-    ones too. A malformed line raises ValidationError naming `path:lineno`, and a file that is
-    not UTF-8 one naming `path`."""
-    out = []
+def iter_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
+    """(line number, JSON value) of each non-blank line, stripped, decoded one at a time: the
+    values and errors of `json.loads` without its whitespace scans. Line numbers count every
+    physical line, blank ones too. A malformed line raises ValidationError naming
+    `path:lineno`, and a file that is not UTF-8 one naming `path`."""
     with _open(path) as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
@@ -79,22 +79,30 @@ def read_jsonl(path: str | Path) -> list[tuple[int, object]]:
                         raise json.JSONDecodeError("Extra data", line, end)
                 except json.JSONDecodeError as exc:
                     raise ValidationError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
-                out.append((lineno, value))
+                yield lineno, value
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
-    return out
+
+
+def read_jsonl(path: str | Path) -> list[tuple[int, object]]:
+    """Every (line number, JSON value) of `iter_jsonl`, for files that are kept whole."""
+    return list(iter_jsonl(path))
+
+
+def parse_records(path: str | Path, lines: Iterable[tuple[int, object]], parse, what: str = "record"):
+    """`parse` of each record of `lines`, read from `path`, in turn; a malformed record raises
+    ValidationError naming `path:lineno`."""
+    for lineno, d in lines:
+        try:
+            record = parse(d)
+        except (AttributeError, KeyError, TypeError, ValueError, ValidationError) as exc:
+            raise ValidationError(f"{path}:{lineno}: malformed {what} ({exc!r})") from exc
+        yield record
 
 
 def load_records(path: str | Path, parse, what: str = "record") -> list:
-    """`parse` of each record of a JSONL file; a malformed record raises ValidationError
-    naming `path:lineno` (see `read_jsonl`)."""
-    out = []
-    for lineno, d in read_jsonl(path):
-        try:
-            out.append(parse(d))
-        except (AttributeError, KeyError, TypeError, ValueError, ValidationError) as exc:
-            raise ValidationError(f"{path}:{lineno}: malformed {what} ({exc!r})") from exc
-    return out
+    """`parse` of every record of a JSONL file (see `read_jsonl` and `parse_records`)."""
+    return list(parse_records(path, read_jsonl(path), parse, what))
 
 
 def parameter_from_dict(d: Mapping) -> ParameterDef:
@@ -197,7 +205,7 @@ def load_history(
             raise ValidationError(f"unknown task_id {d['task_id']!r}")
         metric = check_number("metric", d["metric"])
         return ExperienceRecord(task=task, solution=read_solution(d["values"])[0], metric=metric)
-    return [record for path in paths for record in load_records(path, parse)]
+    return [record for path in paths for record in parse_records(path, iter_jsonl(path), parse)]
 
 
 def discretizer_to_dict(d: Discretizer) -> dict:
@@ -253,8 +261,8 @@ def save_pool(experiences: Sequence[CanonicalExperience], path: str | Path) -> N
     write_jsonl(path, (experience_to_dict(e) for e in experiences))
 
 
-def read_pool_rows(path: str | Path) -> list[tuple[str, float, dict]]:
-    """(task_id, metric, record) of every pool record, each checked but not yet built."""
+def read_pool_rows(path: str | Path) -> Iterator[tuple[str, float, dict]]:
+    """(task_id, metric, record) of each pool record as it is read, checked but not yet built."""
     fields = {"task_id", "space_id", "solution_text", "discrete_solution", "metric"}
 
     def parse(d: dict) -> tuple[str, float, dict]:
@@ -266,7 +274,7 @@ def read_pool_rows(path: str | Path) -> list[tuple[str, float, dict]]:
         if not math.isfinite(metric):
             raise ValueError(f"metric must be finite, got {metric!r}")
         return d["task_id"], metric, d
-    return load_records(path, parse)
+    return parse_records(path, iter_jsonl(path), parse)
 
 
 def save_embeddings(embeddings: Sequence[tuple[str, EmbeddingVector]], path: str | Path) -> None:

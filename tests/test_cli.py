@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -141,6 +142,21 @@ class TestIngest:
             ],
         )
         assert result.exit_code == 2
+
+    def test_first_bad_history_line_is_reported(self, runner, ingest_inputs, tmp_path):
+        # Records are checked as they are read: the bad metric on line 5 is reported, not the
+        # broken JSON on line 10.
+        history, space, tasks = ingest_inputs
+        lines = history.read_text().splitlines()
+        lines[4] = json.dumps({**json.loads(lines[4]), "metric": "0.5"})
+        lines[9] = "{broken"
+        history.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, [
+            "ingest", "--history", str(history), "--space", str(space), "--tasks", str(tasks),
+            "--out", str(tmp_path / "pool"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert f"error: {history}:5: malformed record" in result.stderr
 
 
 class TestElicit:
@@ -434,6 +450,20 @@ class TestSuggest:
         assert isinstance(result.exception, SystemExit)
         assert "pool.jsonl:5: malformed record" in result.stderr
         assert "metric must be finite" in result.stderr
+
+    def test_first_bad_pool_line_is_reported(self, runner, ingest_inputs, new_task_file, tmp_path):
+        # Records are checked as they are read: the bad metric on line 5 is reported, not the
+        # broken JSON on line 10.
+        pool = run_ingest(runner, ingest_inputs, tmp_path / "pool")
+        lines = (pool / "pool.jsonl").read_text().splitlines()
+        lines[4] = json.dumps({**json.loads(lines[4]), "metric": "0.5"})
+        lines[9] = "{broken"
+        (pool / "pool.jsonl").write_text("\n".join(lines) + "\n")
+        result = runner.invoke(
+            main, ["suggest", "--task-file", str(new_task_file), "--pool", str(pool)]
+        )
+        assert result.exit_code == 2, result.output
+        assert "pool.jsonl:5: malformed record" in result.stderr
 
     def test_pool_without_discretizers_exits_2(self, runner, ingest_inputs, new_task_file, tmp_path):
         pool = run_ingest(runner, ingest_inputs, tmp_path / "pool")
@@ -1001,3 +1031,27 @@ class TestBuildEntries:
         expected = reference_build_entries(tasks, path, embeddings, direction, per_task)
         got = cli._build_entries(tasks, path, embeddings, direction, per_task)
         assert entry_view(got) == entry_view(expected)
+
+
+def test_build_entries_holds_only_the_kept_rows(tmp_path):
+    # 6,000 rows of 100 tasks; each task keeps 3. Decoding and holding every row took 6.7 MB.
+    path = tmp_path / "pool.jsonl"
+    task_ids = [f"t{i:03d}" for i in range(100)]
+    path.write_text("".join(
+        json.dumps({
+            "task_id": task_id, "space_id": "s", "solution_text": f"row {row} of {task_id}",
+            "discrete_solution": {"p": "low", "q": "high"}, "metric": (row * 37 % 60) / 60,
+        }) + "\n"
+        for row in range(60)
+        for task_id in task_ids
+    ))
+    tasks = [Task(task_id=t, space_id="s", description=f"task {t}") for t in task_ids]
+    embeddings = {t: EmbeddingVector(values=(1.0, float(i)), model_tag="m") for i, t in enumerate(task_ids)}
+    tracemalloc.start()
+    try:
+        entries = cli._build_entries(tasks, path, embeddings, "higher", 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [len(e.experiences) for e in entries] == [3] * 100
+    assert peak < 1_000_000

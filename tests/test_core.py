@@ -20,6 +20,7 @@ from expcopilot.core import (
     discretize_solution,
     fit_discretizer,
     solution_key,
+    top_by_task,
     verbalize_solution,
 )
 from expcopilot.errors import ValidationError
@@ -349,3 +350,27 @@ class TestDiscretizerType:
     def test_more_bins_than_labels_rejected(self):
         with pytest.raises(ValidationError):
             Discretizer(parameter="x", split_points=(1.0, 2.0, 3.0, 4.0, 5.0))
+
+
+class TestTopByTask:
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from(["a", "b", "c"]),
+                st.sampled_from([0.0, -0.0, 0.5, -1.0]) | st.floats(allow_nan=False),
+            ),
+            max_size=30,
+        ),
+        direction=st.sampled_from(["higher", "lower"]),
+        k=st.integers(1, 32),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_is_the_head_of_a_stable_sort(self, rows, direction, k):
+        # Dict items cannot be ordered, so the ranking must never compare them.
+        triples = [(task_id, metric, {"row": i}) for i, (task_id, metric) in enumerate(rows)]
+        sign = -1.0 if direction == "higher" else 1.0
+        expected = {}
+        for task_id, _, item in sorted(triples, key=lambda t: sign * t[1]):
+            expected.setdefault(task_id, []).append(item)
+        got = top_by_task(iter(triples), direction, k)
+        assert got == {task_id: items[:k] for task_id, items in expected.items()}

@@ -29,9 +29,7 @@ def names_imported_from_root(source: str) -> set[str]:
 
 
 def test_root_exports_exactly_the_names_imported_from_it():
-    assert expcopilot.__all__ == [
-        "ElicitationConfig", "NearestNeighborPolicy", "ScriptedBackend", "SuggestionConfig", "suggest",
-    ]
+    assert expcopilot.__all__ == ["ElicitationConfig", "NearestNeighborPolicy", "ScriptedBackend"]
     harness = (ROOT / "perfbench" / "run.py").read_text(encoding="utf-8")
     assert names_imported_from_root(library_example()) | names_imported_from_root(harness) == set(
         expcopilot.__all__

@@ -1,17 +1,19 @@
-"""JSONL reading: the line decoder against per-line `json.loads`; history records; typed values."""
+"""JSONL reading and writing: the line decoder against per-line `json.loads`, the encoder against
+`json.dumps`; history records; typed values."""
 
 import json
 import math
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expcopilot.errors import ValidationError
 from expcopilot.core import DEFAULT_LEVELS, ParameterDef, SolutionSpace, Task
 from expcopilot.storage import (
-    load_discretizers, load_embeddings, load_history, load_knowledge, load_space, load_tasks, read_jsonl,
+    dumps, load_discretizers, load_embeddings, load_history, load_knowledge, load_space, load_tasks,
+    read_jsonl,
 )
 
 _JSON = st.recursive(
@@ -64,6 +66,13 @@ def test_read_jsonl_decodes_like_json_loads(tmp_path_factory, lines):
         return
     # Compared as JSON text, so NaN equals NaN and 1 differs from 1.0.
     assert json.dumps(read_jsonl(path)) == json.dumps(expected)
+
+
+@given(value=_JSON)
+@example(value={"b": [float("nan"), float("-inf")], "a": {"d": -0.0, "c": "é"}})
+@settings(max_examples=300, deadline=None)
+def test_dumps_writes_the_text_of_json_dumps_with_sorted_keys(value):
+    assert dumps(value) == json.dumps(value, sort_keys=True)
 
 
 def test_read_jsonl_of_a_file_that_is_not_utf8_names_it(tmp_path):
