@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -111,6 +110,9 @@ def load_benchmark(path: str | Path) -> Benchmark:
     if not isinstance(meta, dict) or "direction" not in meta:
         raise BenchmarkError("meta.json must be a JSON object with a 'direction'")
     direction = check_direction(meta["direction"])
+    for key in ("name", "task_kind"):
+        if not isinstance(meta.get(key, ""), str):
+            raise BenchmarkError(f"meta.json '{key}' must be a string")
     space = load_space(root / "space.json")
     tasks = load_tasks(root / "tasks.jsonl")
     by_id = {t.task_id: t for t in tasks}
@@ -313,21 +315,26 @@ def split_signature(discretizers: Mapping[str, Discretizer]) -> tuple:
     return tuple((d.split_points, d.level_labels) for d in discretizers.values())
 
 
+def training_ids(b: Benchmark, held: Collection[str]) -> list[str]:
+    """The ids of `b`'s tasks outside `held`, in task order: a fold's training tasks."""
+    return [t.task_id for t in b.tasks if t.task_id not in held]
+
+
 @dataclass
 class FoldCache:
-    """The fits, vectors and retrieval indexes that the folds of one leave-one-out sweep share.
+    """The fits, vectors and retrieval indexes that the folds of one leave-one-out sweep over `b` share.
 
-    `pools` maps a split signature to every task's pool entry under it, by
-    task id, and the `RetrievalIndex` over those entries in task order; a fold
-    retrieves from its signature's index with its held-out ids and twins
-    masked out. A cache serves the benchmark and the records per task of its
-    first fold only.
+    `pools` maps a split signature to the `RetrievalIndex` over every task's
+    entry under it, in task order, each entry holding its task's `per_task`
+    best records; a fold retrieves from its signature's index with its
+    held-out ids and twins masked out.
     """
 
+    b: Benchmark
+    per_task: int = TOP_RECORDS
     fits: dict[tuple, Discretizer] = field(default_factory=dict)
-    pools: dict[tuple, tuple[dict[str, PoolEntry], RetrievalIndex]] = field(default_factory=dict)
+    pools: dict[tuple, RetrievalIndex] = field(default_factory=dict)
     vectors: dict[str, EmbeddingVector] = field(default_factory=dict)
-    bound: tuple[Benchmark, int] | None = None
 
     def embed(self, backend, text: str) -> EmbeddingVector:
         """`backend.embed(text)`, asked once per cache; a failed embedding is not stored."""
@@ -335,47 +342,29 @@ class FoldCache:
             self.vectors[text] = backend.embed(text)
         return self.vectors[text]
 
-    def index(self, discretizers: Mapping[str, Discretizer]) -> RetrievalIndex:
-        """The index over every task's entry under these (already built) discretizers."""
-        return self.pools[split_signature(discretizers)][1]
 
+def build_fold_artifacts(cache: FoldCache, held: Collection[str], backend):
+    """Offline artifacts for the leave-one-out fold that holds out the task ids in `held`:
+    the retrieval index of its split signature and its discretizers.
 
-def build_fold_artifacts(
-    b: Benchmark,
-    train_ids: Sequence[str],
-    backend,
-    cache: FoldCache | None = None,
-    per_task: int = TOP_RECORDS,
-):
-    """Offline artifacts for one leave-one-out fold: pool entries and discretizers.
-
-    Each entry holds its task's `per_task` best records. Discretizers are
-    fitted on the union of the `TOP_RECORDS` best records per training task
-    only, as ingest fits on every task's, so nothing from a held-out task
-    leaks into canonicalization; the training ids must be distinct tasks of
-    `b`. `cache` carries work across the folds of one sweep over `b`: each
-    distinct multiset of fitting values (-0.0 apart from 0.0) is fitted once,
-    and each description is embedded once. With `b` fixed, the rows a fold
-    leaves out fix its fitting multiset, so the memo is keyed by the held-out
-    values (as `float.hex`) and the training values are gathered only for a
-    new fit. Canonical records depend on the discretizers only through the
-    split signature, so the first fold under a signature builds every task's
-    entry (held-out tasks too; retrieval masks them out) and its
-    `RetrievalIndex` into `cache.pools`, and later folds under it only look
-    their entries up. A new signature reuses an entry of the last one when
-    every record keeps its discrete solution, and rebuilds it otherwise.
+    Discretizers are fitted on the union of the `TOP_RECORDS` best records per
+    training task only, as ingest fits on every task's, so nothing from a
+    held-out task leaks into canonicalization. Each distinct multiset of
+    fitting values (-0.0 apart from 0.0) is fitted once per cache: with
+    `cache.b` fixed, the held-out rows fix the fitting multiset, so the memo is
+    keyed by the held-out values (as `float.hex`) and the training values are
+    gathered only for a new fit. Canonical records depend on the discretizers
+    only through the split signature, so the first fold under a signature
+    builds every task's entry (held-out tasks too; retrieval masks them out)
+    and its `RetrievalIndex` into `cache.pools`, and later folds under it reuse
+    it. A new signature reuses an entry of the last one when every record
+    keeps its discrete solution, and rebuilds it otherwise.
     """
-    cache = FoldCache() if cache is None else cache
-    cache.bound = cache.bound or (b, per_task)
-    if cache.bound[0] is not b or cache.bound[1] != per_task:
-        raise ValidationError("a FoldCache serves one benchmark and one count of records per task")
-    train = set(train_ids)
-    held = [t.task_id for t in b.tasks if t.task_id not in train]
-    if len(held) + len(train_ids) != len(b.tasks):
-        bad = [tid for tid, n in Counter(train_ids).items() if n > 1 or tid not in b._tasks_by_id]
-        raise ValidationError(f"train ids must be distinct tasks of benchmark '{b.name}': {bad}")
+    b, held = cache.b, set(held)
+    if unknown := held.difference(b._tasks_by_id):
+        raise ValidationError(f"held-out ids must be tasks of benchmark '{b.name}': {sorted(unknown)}")
 
-    def top(ids: Sequence[str]) -> list[Row]:
+    def top(ids: Collection[str]) -> list[Row]:
         return [row for tid in ids for row in b.rows[tid][:TOP_RECORDS]]
 
     held_rows, discretizers = top(held), {}
@@ -384,15 +373,15 @@ def build_fold_artifacts(
             continue
         key = p.name, tuple(sorted(float.hex(r.solution.values[p.name]) for r in held_rows))
         if key not in cache.fits:
-            cache.fits[key] = fit_discretizer([r.solution.values[p.name] for r in top(train_ids)], p)
+            cache.fits[key] = fit_discretizer([r.solution.values[p.name] for r in top(training_ids(b, held))], p)
         discretizers[p.name] = cache.fits[key]
     signature = split_signature(discretizers)
     if signature not in cache.pools:
         last = next(reversed(cache.pools.values()), None)
-        by_id = {}
-        for task in b.tasks:
-            rows = b.rows[task.task_id][:per_task]
-            entry = last[0][task.task_id] if last else None
+        entries = []
+        for i, task in enumerate(b.tasks):
+            rows = b.rows[task.task_id][:cache.per_task]
+            entry = last.entries[i] if last else None
             if entry is None or any(
                 discretize_solution(row.solution, b.space, discretizers) != exp.discrete_solution
                 for exp, row in zip(entry.experiences, rows)
@@ -405,9 +394,9 @@ def build_fold_artifacts(
                         for row in rows
                     ],
                 )
-            by_id[task.task_id] = entry
-        cache.pools[signature] = by_id, RetrievalIndex(by_id.values())
-    return list(map(cache.pools[signature][0].__getitem__, train_ids)), discretizers
+            entries.append(entry)
+        cache.pools[signature] = RetrievalIndex(entries)
+    return cache.pools[signature], discretizers
 
 
 @dataclass(frozen=True)
@@ -467,24 +456,23 @@ def _assert_no_leakage(scanned: str, held_out: Task, twins: Sequence[Task]) -> N
 
 
 def _copilot_solutions(
-    b: Benchmark,
+    cache: FoldCache,
     task: Task,
-    train_ids: Sequence[str],
     held: Collection[str],
     seed: int,
     cfg: EvalConfig,
     backend,
-    cache: FoldCache,
     prompt_sink: list | None,
 ) -> list[Solution]:
-    pool, discretizers = build_fold_artifacts(b, train_ids, backend, cache, cfg.suggestion.demos_per_task)
+    b = cache.b
+    index, discretizers = build_fold_artifacts(cache, held, backend)
     twins = [b.task(tid) for tid in b.twins.get(task.task_id, ())]
-    sug_cfg = replace(cfg.suggestion, task_kind=b.task_kind)
     knowledge = []
     if cfg.use_knowledge:
         best, trace = elicit_knowledge(
-            pool, b.space, b, cfg.elicitation, backend, seed=derive_seed(seed, f"elicit:{task.task_id}"),
-            suggestion_config=sug_cfg, discretizers=discretizers,
+            [e for e in index.entries if e.task.task_id not in held], b.space, b, cfg.elicitation, backend,
+            seed=derive_seed(seed, f"elicit:{task.task_id}"), suggestion_config=cfg.suggestion,
+            discretizers=discretizers,
         )
         knowledge = [best]
         for record in trace:
@@ -492,10 +480,10 @@ def _copilot_solutions(
             if prompt_sink is not None:
                 prompt_sink.append((task.task_id, record.prompt))
     query = cache.embed(backend, task.description)
-    demos = retrieve_demos(query, cache.index(discretizers), sug_cfg, exclude=held)
+    demos = retrieve_demos(query, index, cfg.suggestion, exclude=held)
     result = suggest(
-        task, demos, knowledge, b.space, discretizers, sug_cfg, backend,
-        fallback=lambda: baseline_constant(b, train_ids, cfg.suggestion.n_suggestions),
+        task, demos, knowledge, b.space, discretizers, cfg.suggestion, backend,
+        fallback=lambda: baseline_constant(b, training_ids(b, held), cfg.suggestion.n_suggestions),
     )
     scanned = strip_query_section(result.prompt)
     _assert_no_leakage(scanned, task, twins)
@@ -514,15 +502,14 @@ def run_loo_eval(
 ) -> EvalReport:
     """Leave-one-out sweep: hold each task out, suggest for it, score metric@{1,2,3}.
 
-    Offline artifacts come from the best records of the remaining tasks only
-    (`TOP_RECORDS` to fit on, `demos_per_task` to demonstrate); twins of the
-    held-out task are excluded as well. One `FoldCache` serves the sweep: each
-    distinct fitting multiset is fitted once, each description is embedded
-    once, and each split signature gets one retrieval index over every task's
-    entry, which a fold queries with its held-out ids masked out (see
-    `build_fold_artifacts`). A method failure on
-    a task is recorded as the worst score and flagged instead of aborting the
-    sweep.
+    A fold is its held-out set: the task and its twins. Offline artifacts come
+    from the best records of the remaining tasks only (`TOP_RECORDS` to fit
+    on, `demos_per_task` to demonstrate). One `FoldCache` serves the sweep:
+    each distinct fitting multiset is fitted once, each description is
+    embedded once, and each split signature gets one retrieval index over
+    every task's entry, which a fold queries with its held-out ids masked out
+    (see `build_fold_artifacts`). A method failure on a task is recorded as
+    the worst score and flagged instead of aborting the sweep.
     """
     cfg = cfg or EvalConfig()
     if method not in METHODS:
@@ -536,27 +523,25 @@ def run_loo_eval(
         raise ConfigError("evaluation scores metric@{1,2,3}; configure n_suggestions >= 3")
 
     rows: list[EvalRow] = []
-    cache = FoldCache()
+    cfg = replace(cfg, suggestion=replace(cfg.suggestion, task_kind=b.task_kind))
+    cache = FoldCache(b, cfg.suggestion.demos_per_task)
     for seed in seeds:
         for task in b.tasks:
-            held = {task.task_id} | set(b.twins.get(task.task_id, ()))
-            train_ids = [t.task_id for t in b.tasks if t.task_id not in held]
+            held = {task.task_id, *b.twins.get(task.task_id, ())}
             try:
-                if not train_ids:
+                if len(held) == len(b.tasks):
                     raise BenchmarkError(f"no training tasks remain for '{task.task_id}'")
                 if method == "random":
                     solutions = baseline_random(
                         b, task.task_id, n, derive_seed(seed, f"random:{task.task_id}")
                     )
                 elif method == "constant":
-                    solutions = baseline_constant(b, train_ids, n)
+                    solutions = baseline_constant(b, training_ids(b, held), n)
                 elif method == "nearest":
-                    train_tasks = [b.task(tid) for tid in train_ids]
+                    train_tasks = [b.task(tid) for tid in training_ids(b, held)]
                     solutions = baseline_nearest_task(b, train_tasks, task, n)
                 else:
-                    solutions = _copilot_solutions(
-                        b, task, train_ids, held, seed, cfg, backend, cache, prompt_sink
-                    )
+                    solutions = _copilot_solutions(cache, task, held, seed, cfg, backend, prompt_sink)
                 metrics = [evaluate_solution(b, task.task_id, s) for s in solutions]
                 mts = tuple(metric_at_t(metrics, t, b.direction) for t in (1, 2, 3))
                 failed = False

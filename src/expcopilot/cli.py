@@ -8,7 +8,7 @@ backend. Secrets come from the environment only.
 from __future__ import annotations
 
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import click
@@ -17,7 +17,7 @@ from . import bench, storage
 from .core import TOP_RECORDS, check_direction, check_int, derive_seed, top_by_task
 from .elicitation import ElicitationConfig, elicit_knowledge
 from .errors import ConfigError, ExpCopilotError, ValidationError
-from .gateway import backend_from_config, embed_batch, prompt_sha256
+from .gateway import BACKEND_KEYS, backend_from_config, embed_batch, prompt_sha256
 from .retrieval import PoolEntry
 from .suggestion import SuggestionConfig, retrieve_demos, suggest
 
@@ -41,22 +41,27 @@ def load_config(path: str | None) -> AppConfig:
             raise ConfigError(str(exc)) from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"invalid config {path}: expected a JSON object")
-    try:
-        eval_section = dict(raw.get("eval", {}))
-        use_knowledge = eval_section.pop("use_knowledge", False)
-        if eval_section or not isinstance(use_knowledge, bool):
-            raise ConfigError(f"invalid config {path}: eval takes only use_knowledge, true or false")
-        cfg = AppConfig(
-            seed=check_int("seed", raw.get("seed", 0)),
-            direction=check_direction(raw.get("direction", "higher")),
-            backend=dict(raw.get("backend", {"kind": "scripted"})),
-            suggestion=SuggestionConfig(**dict(raw.get("suggestion", {}))),
-            elicitation=ElicitationConfig(**dict(raw.get("elicitation", {}))),
-            use_knowledge=use_knowledge,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config {path}: {exc}") from exc
-    return cfg
+
+    def section(name: str, keys) -> dict:
+        """The config's `name` object, whose keys must all be in `keys`."""
+        value = raw.get(name, {})
+        if not isinstance(value, dict):
+            raise ConfigError(f"invalid config {path}: '{name}' must be a JSON object")
+        if unknown := sorted(set(value) - set(keys)):
+            raise ConfigError(f"invalid config {path}: unknown {name} key(s) {unknown}")
+        return value
+
+    use_knowledge = section("eval", ["use_knowledge"]).get("use_knowledge", False)
+    if not isinstance(use_knowledge, bool):
+        raise ConfigError(f"invalid config {path}: eval use_knowledge must be true or false")
+    return AppConfig(
+        seed=check_int("seed", raw.get("seed", 0)),
+        direction=check_direction(raw.get("direction", "higher")),
+        backend=section("backend", BACKEND_KEYS) if "backend" in raw else {"kind": "scripted"},
+        suggestion=SuggestionConfig(**section("suggestion", [f.name for f in fields(SuggestionConfig)])),
+        elicitation=ElicitationConfig(**section("elicitation", [f.name for f in fields(ElicitationConfig)])),
+        use_knowledge=use_knowledge,
+    )
 
 
 def _build_entries(tasks, pool_path, embeddings, direction: str, per_task: int) -> list[PoolEntry]:

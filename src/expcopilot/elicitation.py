@@ -77,8 +77,6 @@ def split_validation(
     """Seeded split by index into (train, validation); validation gets ceil(fraction * N) items."""
     if len(items) < 2:
         raise ValidationError("need at least 2 tasks to split off a validation set")
-    if not (0.0 < val_fraction < 1.0):
-        raise ValidationError("val_fraction must be within (0, 1)")
     n_val = math.ceil(val_fraction * len(items))
     n_val = min(n_val, len(items) - 1)  # train must stay non-empty
     rng = random.Random(seed)

@@ -9,7 +9,6 @@ cassette format, so any live run can be replayed later.
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 import re
 import threading
@@ -55,16 +54,6 @@ class CompletionRequest:
     temperature: float = 0.0
     max_tokens: int = 512
     stop_sequences: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        if not self.prompt:
-            raise ValidationError("prompt must be non-empty")
-        if not (0.0 <= self.temperature <= 1.0) or not math.isfinite(self.temperature):
-            raise ValidationError("temperature must be within [0, 1]")
-        if self.max_tokens < 1:
-            raise ValidationError("max_tokens must be at least 1")
-        if self.stop_sequences is not None:
-            object.__setattr__(self, "stop_sequences", tuple(self.stop_sequences))
 
 
 def prompt_sha256(text: str) -> str:

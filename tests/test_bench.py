@@ -665,19 +665,18 @@ class TestFoldArtifacts:
         )
         swapped = [list(dict.fromkeys(copy_of.get(tid, tid) for tid in s)) for s in subsets]
         folds = data.draw(st.lists(st.sampled_from(subsets + swapped), min_size=1, max_size=8))
-        backend, cache = ScriptedBackend(), FoldCache()
+        backend, cache = ScriptedBackend(), FoldCache(b)
         with mock.patch.object(bench, "fit_discretizer", wraps=fit_discretizer) as fit:
             for train_ids in folds:
-                got = build_fold_artifacts(b, train_ids, backend, cache)
-                want = reference_fold_artifacts(b, train_ids, ScriptedBackend())
+                index, discretizers = build_fold_artifacts(cache, set(ids) - set(train_ids), backend)
+                want_entries, want_discretizers = reference_fold_artifacts(b, train_ids, ScriptedBackend())
                 # repr tells -0.0 from 0.0, which == does not.
-                assert got == want and repr(got) == repr(want)
+                assert discretizers == want_discretizers and repr(discretizers) == repr(want_discretizers)
                 # The fold's index holds every task's entry; the training ones are the fold's.
-                index = cache.index(got[1])
                 assert [e.task.task_id for e in index.entries] == ids
                 by_id = {e.task.task_id: e for e in index.entries}
                 indexed = [by_id[tid] for tid in train_ids]
-                assert indexed == want[0] and repr(indexed) == repr(want[0])
+                assert indexed == want_entries and repr(indexed) == repr(want_entries)
         # The first fold's index holds every task's entry, so every description is embedded.
         assert backend.embed_calls == len(b.tasks)
         distinct = set().union(*(fitting_multisets(b, fold) for fold in folds))
@@ -701,23 +700,17 @@ class TestFoldArtifacts:
             distinct |= fitting_multisets(b, [t.task_id for t in b.tasks if t.task_id not in held])
         assert fitted == Counter(dict.fromkeys(distinct, 1))
 
-    def test_cache_serves_one_benchmark(self, synth_benchmark, synth_dir):
+    def test_cache_entries_hold_its_records_per_task(self, synth_benchmark):
         ids = [t.task_id for t in synth_benchmark.tasks]
-        cache = FoldCache()
-        build_fold_artifacts(synth_benchmark, ids[1:], ScriptedBackend(), cache)
-        with pytest.raises(ValidationError, match="one benchmark"):
-            build_fold_artifacts(load_benchmark(synth_dir), ids[2:], ScriptedBackend(), cache)
-        entries, _ = build_fold_artifacts(synth_benchmark, ids[2:], ScriptedBackend(), cache)
-        assert all(len(e.experiences) == TOP_RECORDS for e in entries)
+        for per_task in (1, TOP_RECORDS):
+            cache = FoldCache(synth_benchmark, per_task)
+            for held in ({ids[0]}, {ids[0], ids[1]}):
+                index, _ = build_fold_artifacts(cache, held, ScriptedBackend())
+                assert all(len(e.experiences) == per_task for e in index.entries)
 
-    @pytest.mark.parametrize(
-        "train_ids, bad",
-        [(["synth-01", "nope"], "nope"), (["synth-01", "synth-02", "synth-01"], "synth-01")],
-        ids=["unknown", "repeated"],
-    )
-    def test_train_ids_must_be_distinct_tasks(self, synth_benchmark, train_ids, bad):
-        with pytest.raises(ValidationError, match=f"distinct tasks.*'{bad}'"):
-            build_fold_artifacts(synth_benchmark, train_ids, ScriptedBackend())
+    def test_held_out_ids_must_be_tasks_of_the_benchmark(self, synth_benchmark):
+        with pytest.raises(ValidationError, match="tasks of benchmark.*'nope'"):
+            build_fold_artifacts(FoldCache(synth_benchmark), {"synth-01", "nope"}, ScriptedBackend())
 
     def test_loo_sweep_embeds_each_task_once(self, continuous_dir):
         # Split points move between the folds of this bundle, so entries are
@@ -912,9 +905,9 @@ class TestRunLooEval:
         folds = []  # (held-out ids, prompts sent) per fold
         fold = bench.build_fold_artifacts
 
-        def tracking(b, train_ids, *args):
-            folds.append(({t.task_id for t in b.tasks} - set(train_ids), []))
-            return fold(b, train_ids, *args)
+        def tracking(cache, held, *args):
+            folds.append((set(held), []))
+            return fold(cache, held, *args)
 
         class RecordingBackend(ScriptedBackend):
             def complete(self, request):

@@ -14,7 +14,7 @@ import synth
 from expcopilot import bench, cli, storage
 from expcopilot.cli import main
 from expcopilot.core import Task
-from expcopilot.errors import GatewayError, ParseError, ValidationError
+from expcopilot.errors import ConfigError, GatewayError, ParseError, ValidationError
 from expcopilot.gateway import API_KEY_ENV, ScriptedBackend, prompt_sha256
 from expcopilot.retrieval import EmbeddingVector, PoolEntry, hashed_bow_embedding
 
@@ -124,7 +124,7 @@ class TestIngest:
         (root / "table.jsonl").write_text("\n".join(rows) + "\n")
         out = run_ingest(runner, (root / "table.jsonl", root / "space.json", root / "tasks.jsonl"), tmp_path / "pool")
         b = bench.load_benchmark(root)
-        _, fold_discretizers = bench.build_fold_artifacts(b, [t.task_id for t in b.tasks], ScriptedBackend())
+        _, fold_discretizers = bench.build_fold_artifacts(bench.FoldCache(b), (), ScriptedBackend())
         assert storage.load_discretizers(out / "discretizers.json") == fold_discretizers
 
     def test_empty_history_is_config_error(self, runner, ingest_inputs, tmp_path):
@@ -779,6 +779,9 @@ class TestEval:
         [
             ("meta.json", '{"direction": "higher",'),
             ("meta.json", '{"name": "synth"}'),
+            # Either would load and then fail every copilot fold, or name the report oddly.
+            pytest.param("meta.json", '{"direction": "higher", "task_kind": 5}', id="task_kind-not-a-string"),
+            pytest.param("meta.json", '{"direction": "higher", "name": ["x"]}', id="name-not-a-string"),
             ("twins.json", "[1, 2]"),
             ("twins.json", '{"synth-01": ["no-such-task"]}'),
             ("twins.json", '{"synth-01": ["synth-02"]}'),
@@ -877,6 +880,11 @@ class TestEval:
                           "embed_model": "e", "timeout": " 30 "}}, "0"),
             # default_completion is gone, so it exits 2 as a key that no backend kind reads.
             ({"backend": {"kind": "scripted", "default_completion": 5}}, "0"),
+            # Each section is a JSON object; a list of pairs is not one.
+            ({"eval": [["use_knowledge", True]]}, "0"),
+            ({"backend": [["kind", "scripted"]]}, "0"),
+            ({"suggestion": None}, "0"),
+            ({"elicitation": "rounds"}, "0"),
         ],
     )
     def test_bad_config_or_option_exits_2(self, runner, synth_dir, tmp_path, monkeypatch, config, seeds):
@@ -893,6 +901,32 @@ class TestEval:
         assert result.stderr.startswith("error:") and "Traceback" not in result.output
         assert not (tmp_path / "r.csv").exists()
 
+
+    @pytest.mark.parametrize(
+        "config, named",
+        [
+            ({"suggestion": {"demos": 3}}, "demos"),
+            ({"elicitation": {"round": 3}}, "round"),
+            ({"eval": {"use_knowlege": True}}, "use_knowlege"),
+            ({"backend": {"kind": "scripted", "max_attemps": 3}}, "max_attemps"),
+            ({"suggestion": [["n_suggestions", 3]]}, "suggestion"),
+            ({"backend": "scripted"}, "backend"),
+        ],
+    )
+    def test_config_error_names_the_key(self, tmp_path, config, named):
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        with pytest.raises(ConfigError, match=f"'{named}'"):
+            cli.load_config(str(tmp_path / "config.json"))
+
+    def test_a_type_error_inside_a_config_class_propagates(self, tmp_path, monkeypatch):
+        # Only bad input is a config error; a bug in the config classes is a traceback.
+        def broken(self):
+            raise TypeError("bug in SuggestionConfig")
+
+        monkeypatch.setattr(cli.SuggestionConfig, "__post_init__", broken)
+        (tmp_path / "config.json").write_text(json.dumps({"suggestion": {"n_suggestions": 3}}))
+        with pytest.raises(TypeError, match="bug in SuggestionConfig"):
+            cli.load_config(str(tmp_path / "config.json"))
 
     def test_config_file_that_is_not_utf8_exits_2(self, runner, synth_dir, tmp_path):
         (tmp_path / "config.json").write_bytes(b'{"seed": "\xff"}')

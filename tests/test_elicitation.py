@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expcopilot.bench import Benchmark, Row, build_fold_artifacts, evaluate_solution, normalize_accuracy
+from expcopilot.bench import Benchmark, FoldCache, Row, build_fold_artifacts, evaluate_solution, normalize_accuracy
 from expcopilot.core import ParameterDef, Solution, SolutionSpace, Task, solution_key
 from expcopilot.elicitation import (
     DEFAULT_QUESTIONS,
@@ -226,6 +226,12 @@ class TestElicitControlFlow:
         assert len(excinfo.value.trace) == 5
 
 
+def whole_pool(b, backend):
+    """Every task's entry, in task order, and the discretizers of a fold that holds nothing out."""
+    index, discretizers = build_fold_artifacts(FoldCache(b), (), backend)
+    return index.entries, discretizers
+
+
 def queries_for(entries, pool, cfg=SuggestionConfig()):
     """(task, demos) pairs as `elicit_knowledge` passes them to `validate_candidate`."""
     return [(e.task, retrieve_demos(e.embedding, pool, cfg, exclude={e.task.task_id})) for e in entries]
@@ -235,8 +241,7 @@ class TestValidateCandidate:
     def test_score_equals_nearest_neighbor_oracle(self, synth_benchmark):
         b = synth_benchmark
         backend = ScriptedBackend()
-        all_ids = [t.task_id for t in b.tasks]
-        entries, discretizers = build_fold_artifacts(b, all_ids, backend)
+        entries, discretizers = whole_pool(b, backend)
         train_entries = entries[:9]
         val_tasks = [entries[i].task for i in (9, 10, 11)]
         candidate = KnowledgeItem(space_id=b.space.space_id, text="prefer shallow trees", validation_score=0.0)
@@ -271,7 +276,7 @@ class TestValidateCandidate:
 
         b = synth_benchmark
         backend = BrokenBackend()
-        entries, discretizers = build_fold_artifacts(b, [t.task_id for t in b.tasks], backend)
+        entries, discretizers = whole_pool(b, backend)
         candidate = KnowledgeItem(space_id=b.space.space_id, text="x", validation_score=0.0)
         with pytest.raises(RuntimeError, match="bug in the backend"):
             validate_candidate(
@@ -286,7 +291,7 @@ class TestValidateCandidate:
 
         b = synth_benchmark
         backend = FailingBackend()
-        entries, discretizers = build_fold_artifacts(b, [t.task_id for t in b.tasks], backend)
+        entries, discretizers = whole_pool(b, backend)
         candidate = KnowledgeItem(space_id=b.space.space_id, text="x", validation_score=0.0)
         score = validate_candidate(
             candidate, queries_for(entries[-1:], entries[:-1]), b.space,
@@ -297,7 +302,7 @@ class TestValidateCandidate:
     def test_empty_validation_set_rejected(self, synth_benchmark):
         b = synth_benchmark
         backend = ScriptedBackend()
-        entries, discretizers = build_fold_artifacts(b, [t.task_id for t in b.tasks], backend)
+        entries, discretizers = whole_pool(b, backend)
         candidate = KnowledgeItem(space_id=b.space.space_id, text="x", validation_score=0.0)
         with pytest.raises(ValidationError):
             validate_candidate(
@@ -309,7 +314,7 @@ class TestValidateCandidate:
         # reflect generation settings; candidates tie.
         b = synth_benchmark
         backend = ScriptedBackend()
-        entries, discretizers = build_fold_artifacts(b, [t.task_id for t in b.tasks], backend)
+        entries, discretizers = whole_pool(b, backend)
         queries = queries_for(entries[-1:], entries[:-1])
         scores = [
             validate_candidate(
@@ -328,7 +333,7 @@ class TestElicitEndToEnd:
 
         def run():
             backend = ScriptedBackend()
-            entries, discretizers = build_fold_artifacts(b, [t.task_id for t in b.tasks], backend)
+            entries, discretizers = whole_pool(b, backend)
             return elicit_knowledge(
                 entries, b.space, b, cfg, backend, seed=13,
                 suggestion_config=SuggestionConfig(), discretizers=discretizers,
@@ -358,7 +363,7 @@ class TestElicitEndToEnd:
                     return super().complete(req)
 
             backend = RecordingBackend()
-            pool, discretizers = build_fold_artifacts(b, [t.task_id for t in b.tasks], backend)
+            pool, discretizers = whole_pool(b, backend)
             _, trace = elicit_knowledge(
                 pool, b.space, b, cfg, backend, seed=5,
                 suggestion_config=SuggestionConfig(token_budget=budget), discretizers=discretizers,
@@ -514,7 +519,9 @@ class TestRetrieveOncePerRun:
         b = generated_benchmark(n_tasks, bench_seed, direction)
         ids = [t.task_id for t in b.tasks]
         train_ids = data.draw(st.lists(st.sampled_from(ids), min_size=2, unique=True))
-        pool, discretizers = build_fold_artifacts(b, train_ids, ScriptedBackend())
+        index, discretizers = build_fold_artifacts(FoldCache(b), set(ids) - set(train_ids), ScriptedBackend())
+        by_id = {e.task.task_id: e for e in index.entries}
+        pool = [by_id[tid] for tid in train_ids]
         cfg = ElicitationConfig(
             rounds=rounds, patience=patience, subset_size=subset_size, val_fraction=val_fraction,
         )
@@ -529,7 +536,7 @@ class TestRetrieveOncePerRun:
 
     def test_elicitation_embeds_nothing(self, synth_benchmark):
         b = synth_benchmark
-        pool, discretizers = build_fold_artifacts(b, [t.task_id for t in b.tasks], ScriptedBackend())
+        pool, discretizers = whole_pool(b, ScriptedBackend())
         embedded = Counter()
 
         class CountingBackend(ScriptedBackend):

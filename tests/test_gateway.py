@@ -11,10 +11,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from expcopilot import gateway
-from expcopilot.bench import build_fold_artifacts
+from expcopilot.bench import FoldCache, build_fold_artifacts
 from expcopilot.cli import main
 from expcopilot.elicitation import ElicitationConfig, elicit_knowledge
-from expcopilot.errors import ConfigError, GatewayError, ValidationError
+from expcopilot.errors import ConfigError, GatewayError
 from expcopilot.gateway import (
     API_KEY_ENV,
     CompletionRequest,
@@ -41,20 +41,6 @@ class TestEstimateTokens:
     def test_max_prompt_chars_is_the_estimate_limit(self, length, budget):
         fits = estimate_tokens("x" * length) <= budget
         assert fits == (length <= max_prompt_chars(budget))
-
-
-class TestCompletionRequest:
-    def test_empty_prompt_rejected(self):
-        with pytest.raises(ValidationError):
-            CompletionRequest(prompt="")
-
-    def test_temperature_range(self):
-        with pytest.raises(ValidationError):
-            CompletionRequest(prompt="p", temperature=1.5)
-
-    def test_max_tokens_positive(self):
-        with pytest.raises(ValidationError):
-            CompletionRequest(prompt="p", max_tokens=0)
 
 
 class TestScriptedPolicy:
@@ -389,9 +375,9 @@ class TestHttpBackend:
         b = synth_benchmark
 
         def run(backend):
-            train_ids = [t.task_id for t in b.tasks[1:]]
-            pool, discretizers = build_fold_artifacts(b, train_ids, backend)
-            demos = retrieve_demos(backend.embed(b.tasks[0].description), pool, SuggestionConfig())
+            held = {b.tasks[0].task_id}
+            index, discretizers = build_fold_artifacts(FoldCache(b), held, backend)
+            demos = retrieve_demos(backend.embed(b.tasks[0].description), index, SuggestionConfig(), exclude=held)
             return suggest(b.tasks[0], demos, [], b.space, discretizers, SuggestionConfig(), backend)
 
         live = run(make_backend(url, tmp_path))
@@ -412,9 +398,9 @@ class TestHttpBackend:
         cfg = ElicitationConfig(rounds=3, patience=3, val_fraction=0.3)
 
         def run(backend):
-            pool, discretizers = build_fold_artifacts(b, [t.task_id for t in b.tasks], backend)
+            index, discretizers = build_fold_artifacts(FoldCache(b), (), backend)
             return elicit_knowledge(
-                pool, b.space, b, cfg, backend, seed=5,
+                index.entries, b.space, b, cfg, backend, seed=5,
                 suggestion_config=SuggestionConfig(), discretizers=discretizers,
             )
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from expcopilot.bench import build_fold_artifacts
+from expcopilot.bench import FoldCache, build_fold_artifacts
 from expcopilot.core import (
     DEFAULT_LEVELS,
     CanonicalExperience,
@@ -385,16 +385,15 @@ class TestSuggest:
     def test_nearest_neighbor_echo(self, synth_benchmark):
         b = synth_benchmark
         backend = ScriptedBackend()
-        ids = [t.task_id for t in b.tasks]
-        pool, discretizers = build_fold_artifacts(b, ids, backend)
+        index, discretizers = build_fold_artifacts(FoldCache(b), (), backend)
         task = b.tasks[0]
         before = backend.completion_calls
         query = backend.embed(task.description)
-        demos = retrieve_demos(query, pool, SuggestionConfig(), exclude={task.task_id})
+        demos = retrieve_demos(query, index, SuggestionConfig(), exclude={task.task_id})
         result = suggest(task, demos, [], b.space, discretizers, SuggestionConfig(), backend)
         # Exactly one completion call and the partner task's best configurations.
         assert backend.completion_calls - before == 1
-        partner = pool[1]  # synth-02
+        partner = index.entries[1]  # synth-02
         assert [d for d, _ in result.items] == [
             dict(exp.discrete_solution) for exp in partner.experiences
         ]
